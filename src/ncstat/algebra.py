@@ -137,7 +137,7 @@ class AlgebraElement:
         return (self - other).norm()
 
     def is_hermitian(self, atol: float = DEFAULT_ATOL) -> bool:
-        return all(np.linalg.norm(b - b.conj().T, 2) <= atol for b in self.blocks)
+        return all(np.linalg.norm(b - b.conj().T) <= atol for b in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,11 +204,11 @@ class HermitianEigen:
 
 
 def hermitian_eigen(m: np.ndarray, atol: float = DEFAULT_ATOL) -> HermitianEigen:
-    """Eigendecompose m, insisting it is Hermitian within atol in operator norm."""
+    """Eigendecompose m, insisting it is Hermitian within atol in Frobenius norm."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    herm_defect = np.linalg.norm(m - m.conj().T, 2) if m.size else 0.0
+    herm_defect = np.linalg.norm(m - m.conj().T) if m.size else 0.0
     if herm_defect > atol:
         raise np.linalg.LinAlgError(
             f"matrix is not Hermitian within tolerance (defect {herm_defect:.3e})"
@@ -339,7 +339,7 @@ def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
     total = 0.0
     min_eig = np.inf
     for x, d in enumerate(s.densities):
-        herm = np.linalg.norm(d - d.conj().T, 2)
+        herm = np.linalg.norm(d - d.conj().T)
         if herm > atol:
             violations.append(Violation("hermiticity", f"block {x}", float(herm)))
         vals = np.linalg.eigvalsh((d + d.conj().T) / 2)

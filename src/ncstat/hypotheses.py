@@ -22,7 +22,6 @@ from .algebra import (
     ValidationReport,
     Violation,
     hermitian_pinv,
-    partial_trace_left,
     state_distance,
 )
 from .errors import (
@@ -35,13 +34,13 @@ from .maps import (
     CPUMap,
     StarHom,
     ad_cpu,
-    apply_cpu,
-    apply_hom,
+    ad_hom,
     compose_cpu,
     compose_homs,
     conjugate_state,
     cpu_from_functions,
     cpu_pushforward_state,
+    hom_to_cpu,
     identity_cpu,
     identity_hom,
     pushforward_state,
@@ -145,7 +144,7 @@ class AlphaFamily:
             for x, a in enumerate(row):
                 if a is None:
                     continue
-                herm = np.linalg.norm(a - a.conj().T, 2)
+                herm = np.linalg.norm(a - a.conj().T)
                 if herm > atol:
                     violations.append(
                         Violation("hermiticity", f"alpha ({y},{x})", float(herm))
@@ -191,16 +190,26 @@ def validate_morphism(m: NCMorphism, atol: float = DEFAULT_ATOL) -> ValidationRe
     Reports the pushforward defect (target state through the homomorphism versus
     the source state), the worst section defect (CPU after homomorphism versus
     the identity, on matrix units), and any CP/unitality violations.
+
+    The section defect comes from one Choi composition of Q with the Choi grid
+    of the homomorphism (one matrix product per block triple) instead of
+    applying both maps to every matrix unit: the defect of E_ij is the
+    Frobenius norm of (Q after F minus the identity) at E_ij, over all blocks.
     """
     violations = []
     push = pushforward_state(m.target.state, m.hom)
     push_defect = state_distance(push, m.source.state)
     if push_defect > atol:
         violations.append(Violation("pushforward", "source state", push_defect))
+    back = compose_cpu(m.cpu, hom_to_cpu(m.hom))
+    ident = identity_cpu(m.source.algebra)
     section = 0.0
-    for _, _, _, e in m.source.algebra.matrix_units():
-        r = apply_cpu(m.cpu, apply_hom(m.hom, e))
-        section = max(section, r.distance(e))
+    for y, n in enumerate(m.source.algebra.block_dims):
+        sq = np.zeros((n, n))  # squared defect of E_ij, one entry per (i, j)
+        for yp, n2 in enumerate(m.source.algebra.block_dims):
+            r = back.components[yp][y] - ident.components[yp][y]
+            sq += np.einsum("ikjl->ij", np.abs(r.reshape(n, n2, n, n2)) ** 2)
+        section = max(section, float(np.sqrt(sq.max())))
     if section > atol:
         violations.append(Violation("section", "CPU after hom", section))
     cpu_report = validate_cpu(m.cpu, atol)
@@ -254,21 +263,11 @@ def rectify_pair(g: NCMorphism, f: NCMorphism) -> RectificationResult:
     f_mid = NCMorphism(
         source=rg.morphism.target,
         target=f.target,
-        hom=compose_homs(f.hom, _ad_hom_of(v)),
-        cpu=compose_cpu(ad_cpu(_adjoint_unitary(v)), f.cpu),
+        hom=compose_homs(f.hom, ad_hom(v)),
+        cpu=compose_cpu(ad_cpu(v.adjoint()), f.cpu),
     )
     rf = rectify_morphism(f_mid)
     return RectificationResult(u=rf.u, v=v, morphisms=(rg.morphism, rf.morphism))
-
-
-def _ad_hom_of(u: AlgebraElement) -> StarHom:
-    from .maps import ad_hom
-
-    return ad_hom(u)
-
-
-def _adjoint_unitary(u: AlgebraElement) -> AlgebraElement:
-    return u.adjoint()
 
 
 def _check_composable(g: NCMorphism, f: NCMorphism, atol: float = OBJECT_STATE_ATOL):

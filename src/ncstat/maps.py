@@ -114,7 +114,7 @@ class StarHom:
             u = np.array(u, dtype=np.complex128)
             if u.shape != (m, m):
                 raise ShapeError(f"conjugator {x} must be {m}x{m}, got {u.shape}")
-            defect = np.linalg.norm(u.conj().T @ u - np.eye(m), 2)
+            defect = np.linalg.norm(u.conj().T @ u - np.eye(m))
             if defect > UNITARY_ATOL:
                 raise ShapeError(
                     f"conjugator {x} is not unitary (defect {defect:.3e})"
@@ -135,7 +135,7 @@ class StarHom:
     def is_standard(self, atol: float = UNITARY_ATOL) -> bool:
         """Whether every conjugator is the identity within atol."""
         return all(
-            np.linalg.norm(u - np.eye(u.shape[0]), 2) <= atol
+            np.linalg.norm(u - np.eye(u.shape[0])) <= atol
             for u in self.conjugators
         )
 
@@ -346,62 +346,54 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
     Verifies the homomorphism axioms on the matrix-unit basis first, then reads
     multiplicities off the traces of the image projections and assembles each
     conjugator from an orthonormal basis of the range of the image of the
-    first matrix unit of each source block.
+    first matrix unit of each source block.  The unit images are the columns
+    of the raw matrix, stacked per target block; multiplicativity is checked
+    one left unit at a time, with one batched product per target block.
     """
     src, tgt = raw.source, raw.target
     n_dims = src.block_dims
-    images: list[list[list[AlgebraElement]]] = [
-        [[None] * n for _ in range(n)] for n in n_dims  # type: ignore[list-item]
-    ]
-    for y, i, j, e in src.matrix_units():
-        images[y][i][j] = raw.apply(e)
+    # units[y][j, i] is the column (and stack index) of the matrix unit E_ij
+    offsets = np.cumsum((0,) + tuple(n * n for n in n_dims))
+    units = [off + np.arange(n * n).reshape(n, n) for off, n in zip(offsets, n_dims)]
+    stacks, row = [], 0
+    for m in tgt.block_dims:
+        # entry [a + m*b, u] is entry [a, b] of block x of the image of unit u
+        cols = raw.matrix[row : row + m * m].T.reshape(-1, m, m)
+        stacks.append(np.ascontiguousarray(cols.transpose(0, 2, 1)))
+        row += m * m
 
     unital_defect = raw.apply(src.identity()).distance(tgt.identity())
     if unital_defect > atol:
         raise NotAHomomorphismError("unital", unital_defect)
 
-    adj_defect = 0.0
-    for y, n in enumerate(n_dims):
-        for i in range(n):
-            for j in range(n):
-                adj_defect = max(
-                    adj_defect,
-                    images[y][j][i].distance(images[y][i][j].adjoint()),
-                )
+    swap = np.concatenate([idx.T.reshape(-1) for idx in units])  # E_ij -> E_ji
+    sq = sum(
+        (np.abs(st[swap] - st.conj().transpose(0, 2, 1)) ** 2).sum(axis=(1, 2))
+        for st in stacks
+    )
+    adj_defect = float(np.sqrt(np.max(sq)))
     if adj_defect > atol:
         raise NotAHomomorphismError("adjoint", adj_defect)
 
     mult_defect = 0.0
-    for y, n in enumerate(n_dims):
-        for yp, np_ in enumerate(n_dims):
-            for i in range(n):
-                for j in range(n):
-                    for k in range(np_):
-                        for l in range(np_):
-                            prod = images[y][i][j] @ images[yp][k][l]
-                            if y == yp and j == k:
-                                expected = images[y][i][l]
-                                mult_defect = max(
-                                    mult_defect, prod.distance(expected)
-                                )
-                            else:
-                                mult_defect = max(mult_defect, prod.norm())
+    for idx, n in zip(units, n_dims):
+        for i in range(n):
+            for j in range(n):
+                sq = 0.0
+                for st in stacks:
+                    d = st[idx[j, i]] @ st  # E_ij times every unit
+                    d[idx[:, j]] -= st[idx[:, i]]  # E_ij E_jl = E_il
+                    sq = sq + (np.abs(d) ** 2).sum(axis=(1, 2))
+                mult_defect = max(mult_defect, float(np.sqrt(np.max(sq))))
     if mult_defect > atol:
         raise NotAHomomorphismError("multiplicative", mult_defect)
 
     s = tgt.num_blocks
     t = src.num_blocks
-    block_ids = []
-    for y, n in enumerate(n_dims):
-        acc = images[y][0][0]
-        for i in range(1, n):
-            acc = acc + images[y][i][i]
-        block_ids.append(acc)
-
     mult = [[0] * s for _ in range(t)]
     for y, n in enumerate(n_dims):
-        for x in range(s):
-            tr = np.trace(block_ids[y].blocks[x]).real / n
+        for x, st in enumerate(stacks):
+            tr = np.trace(st[np.diagonal(units[y])].sum(axis=0)).real / n
             c = round(tr)
             if abs(tr - c) > atol:
                 raise NonIntegralMultiplicityError(
@@ -416,14 +408,14 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
             )
 
     conjugators = []
-    for x, m in enumerate(tgt.block_dims):
+    for x, (m, st) in enumerate(zip(tgt.block_dims, stacks)):
         u = np.zeros((m, m), dtype=np.complex128)
         pos = 0
         for y, n in enumerate(n_dims):
             c = mult[y][x]
             if c == 0:
                 continue
-            proj = images[y][0][0].blocks[x]
+            proj = st[units[y][0, 0]]
             vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
             range_vecs = vecs[:, vals > 0.5]
             if range_vecs.shape[1] != c:
@@ -436,14 +428,15 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
             for k in range(c):
                 v = range_vecs[:, k]
                 for j in range(n):
-                    u[:, pos] = images[y][j][0].blocks[x] @ v
+                    u[:, pos] = st[units[y][0, j]] @ v
                     pos += 1
         conjugators.append(u)
 
     result = StarHom(src, tgt, tuple(tuple(r) for r in mult), tuple(conjugators))
-    recon = 0.0
-    for y, i, j, e in src.matrix_units():
-        recon = max(recon, apply_hom(result, e).distance(images[y][i][j]))
+    # column norms of the difference are Frobenius distances of unit images
+    recon = float(
+        np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))
+    )
     if recon > max(atol, 1e-7):
         raise NotAHomomorphismError("reconstruction", recon)
     return result
@@ -482,10 +475,15 @@ def dual_apply_choi(choi: np.ndarray, e: np.ndarray, m: int, n: int) -> np.ndarr
 def compose_choi(
     inner: np.ndarray, outer: np.ndarray, m: int, n: int, o: int
 ) -> np.ndarray:
-    """Choi matrix of outer (M_n -> M_o) after inner (M_m -> M_n)."""
-    return np.einsum(
-        "iajb,akbl->ikjl", inner.reshape(m, n, m, n), outer.reshape(n, o, n, o)
-    ).reshape(m * o, m * o)
+    """Choi matrix of outer (M_n -> M_o) after inner (M_m -> M_n).
+
+    C[(i,k),(j,l)] = sum_ab inner[(i,a),(j,b)] outer[(a,k),(b,l)] is one matrix
+    product of inner regrouped to rows (i,j), columns (a,b) and outer regrouped
+    to rows (a,b), columns (k,l); the result is regrouped back.
+    """
+    a = inner.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+    b = outer.reshape(n, o, n, o).transpose(0, 2, 1, 3).reshape(n * n, o * o)
+    return (a @ b).reshape(m, m, o, o).transpose(0, 2, 1, 3).reshape(m * o, m * o)
 
 
 def identity_choi(m: int) -> np.ndarray:
@@ -544,16 +542,7 @@ def cpu_from_functions(
 
 
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
-    comps = []
-    for y, n in enumerate(algebra.block_dims):
-        row = []
-        for x, m in enumerate(algebra.block_dims):
-            if x == y:
-                row.append(identity_choi(m))
-            else:
-                row.append(np.zeros((m * n, m * n), dtype=np.complex128))
-        comps.append(tuple(row))
-    return CPUMap(algebra, algebra, tuple(comps))
+    return hom_to_cpu(identity_hom(algebra))
 
 
 def apply_cpu(q: CPUMap, a: AlgebraElement) -> AlgebraElement:
@@ -605,7 +594,7 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
     for y, n in enumerate(q.target.block_dims):
         for x, m in enumerate(q.source.block_dims):
             c = q.components[y][x]
-            herm = np.linalg.norm(c - c.conj().T, 2)
+            herm = np.linalg.norm(c - c.conj().T)
             if herm > atol:
                 violations.append(
                     Violation("choi-hermiticity", f"component ({y},{x})", float(herm))
@@ -617,7 +606,7 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
                 )
     one = apply_cpu(q, q.source.identity())
     for y, n in enumerate(q.target.block_dims):
-        defect = np.linalg.norm(one.blocks[y] - np.eye(n), 2)
+        defect = np.linalg.norm(one.blocks[y] - np.eye(n))
         if defect > atol:
             violations.append(
                 Violation("unitality", f"target block {y}", float(defect))
@@ -628,7 +617,7 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
 def ad_hom(u: AlgebraElement, atol: float = UNITARY_ATOL) -> StarHom:
     """Conjugation by a unitary element as a homomorphism of its algebra."""
     for x, (b, d) in enumerate(zip(u.blocks, u.algebra.block_dims)):
-        defect = np.linalg.norm(b.conj().T @ b - np.eye(d), 2)
+        defect = np.linalg.norm(b.conj().T @ b - np.eye(d))
         if defect > atol:
             raise np.linalg.LinAlgError(
                 f"block {x} is not unitary (defect {defect:.3e})"
@@ -638,23 +627,35 @@ def ad_hom(u: AlgebraElement, atol: float = UNITARY_ATOL) -> StarHom:
     return StarHom(u.algebra, u.algebra, mult, u.blocks)
 
 
-def ad_cpu(u: AlgebraElement, atol: float = UNITARY_ATOL) -> CPUMap:
-    """Conjugation by a unitary element as a CPU map of its algebra."""
-    hom = ad_hom(u, atol)  # reuses the unitarity check
+def hom_to_cpu(f: StarHom) -> CPUMap:
+    """The homomorphism as a CPU map, one Choi matrix per block pair.
+
+    Component (x, y) is e -> V (1_c kron e) V^H, with V the conjugator columns
+    of segment y and c = mult[y][x]; its Choi matrix is W W^H, of rank c, with
+    W[(i,a), k] = V[a, k*n_y + i].
+    """
+    imap = f.index_map
     comps = []
-    dims = u.algebra.block_dims
-    for y, n in enumerate(dims):
+    for x, m in enumerate(f.target.block_dims):
         row = []
-        for x, m in enumerate(dims):
-            if x == y:
-                b = u.blocks[x]
-                row.append(
-                    choi_from_function(lambda e, b=b: b @ e @ b.conj().T, m, n)
-                )
-            else:
-                row.append(np.zeros((m * n, m * n), dtype=np.complex128))
+        for y, n in enumerate(f.source.block_dims):
+            rows, _ = imap.segment(x, y, y)
+            c = f.mult[y][x]
+            w = f.conjugators[x][:, rows].reshape(m, c, n)
+            w = w.transpose(2, 0, 1).reshape(n * m, c)
+            row.append(w @ w.conj().T)
         comps.append(tuple(row))
-    return CPUMap(u.algebra, u.algebra, tuple(comps))
+    return CPUMap(f.source, f.target, tuple(comps))
+
+
+def ad_cpu(u: AlgebraElement, atol: float = UNITARY_ATOL) -> CPUMap:
+    """Conjugation by a unitary element as a CPU map of its algebra.
+
+    Each diagonal component is the rank-one Choi matrix of e -> b e b^H,
+    outer(v, conj(v)) with v = vec(b^T), built in closed form by hom_to_cpu;
+    the off-diagonal components vanish.  ad_hom checks unitarity.
+    """
+    return hom_to_cpu(ad_hom(u, atol))
 
 
 def ad_unitary(

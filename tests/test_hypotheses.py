@@ -22,8 +22,10 @@ from ncstat.hypotheses import (
 )
 from ncstat.maps import (
     StarHom,
+    ad_cpu,
     apply_cpu,
     apply_hom,
+    compose_cpu,
     cpu_from_functions,
     cpu_pushforward_state,
 )
@@ -32,6 +34,7 @@ from ncstat.generators import (
     gen_composable_pair,
     gen_morphism,
     gen_optimal_morphism,
+    haar_unitary,
     rng_for,
 )
 
@@ -176,6 +179,61 @@ def test_extract_alphas_rejects_copy_correlation():
     assert any(v.kind == "section" for v in rep.violations)
     with pytest.raises(FactorizationError):
         extract_alphas(m)
+
+
+def _reference_section_defect(m: NCMorphism) -> float:
+    # worst Frobenius distance between Q(F(e)) and e over the source matrix units
+    worst = 0.0
+    for _, _, _, e in m.source.algebra.matrix_units():
+        worst = max(worst, apply_cpu(m.cpu, apply_hom(m.hom, e)).distance(e))
+    return worst
+
+
+def _section_report(m: NCMorphism) -> float:
+    found = [v for v in validate_morphism(m).violations if v.kind == "section"]
+    return found[0].residual if found else 0.0
+
+
+def test_section_defect_matches_unit_loop():
+    # a non-standard multi-block hom, with its own CPU map and with that map
+    # precomposed by a Haar conjugation, which breaks the section axiom
+    cfg = GeneratorConfig(seed=77, trials=10)
+    m = gen_morphism(cfg, rng_for(cfg, 4))
+    assert m.source.algebra.num_blocks == 3 and not m.hom.is_standard()
+    assert _reference_section_defect(m) < 1e-12
+    assert _section_report(m) == 0.0
+    rng = np.random.default_rng(78)
+    w = element_from_blocks(
+        m.target.algebra, [haar_unitary(rng, d) for d in m.target.algebra.block_dims]
+    )
+    bad = NCMorphism(m.source, m.target, m.hom, compose_cpu(m.cpu, ad_cpu(w)))
+    ref = _reference_section_defect(bad)
+    assert ref > 1e-3
+    assert abs(_section_report(bad) - ref) < 1e-12
+
+
+def test_copy_correlation_section_defect_under_conjugation():
+    # the copy-correlation compression of
+    # test_extract_alphas_rejects_copy_correlation, carried through a Haar
+    # conjugator on the target; the section defect must survive it
+    src = AlgebraSpec((2,))
+    tgt = AlgebraSpec((4,))
+    u = haar_unitary(np.random.default_rng(79), 4)
+    hom = StarHom(src, tgt, ((2,),), (u,))
+    v = np.zeros((4, 2))
+    v[0, 0] = 1.0
+    v[3, 1] = 1.0
+    v = u @ v
+    q = cpu_from_functions(tgt, src, lambda y, x, e: v.conj().T @ e @ v)
+    m = NCMorphism(
+        source=NCObject.from_state(State(src, (np.eye(2) / 2,))),
+        target=NCObject.from_state(State(tgt, (np.eye(4) / 4,))),
+        hom=hom,
+        cpu=q,
+    )
+    ref = _reference_section_defect(m)
+    assert ref > 1e-3
+    assert abs(_section_report(m) - ref) < 1e-12
 
 
 def test_disintegration_blocked_by_coherence():

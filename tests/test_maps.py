@@ -7,6 +7,7 @@ from ncstat.errors import (
     NotAHomomorphismError,
     ShapeError,
 )
+from ncstat.generators import haar_unitary
 from ncstat.maps import (
     CPUMap,
     RawLinearMap,
@@ -174,13 +175,19 @@ def test_choi_apply_and_dual_pair():
 
 def test_choi_composition():
     rng = np.random.default_rng(22)
-    m, n, o = 2, 3, 2
-    c1 = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
-    c2 = rng.standard_normal((n * o, n * o)) + 1j * rng.standard_normal((n * o, n * o))
-    comp = compose_choi(c1, c2, m, n, o)
-    a = rng.standard_normal((m, m))
-    direct = apply_choi(c2, apply_choi(c1, a, m, n), n, o)
-    assert np.allclose(apply_choi(comp, a, m, o), direct, atol=1e-12)
+    for m, n, o in [(2, 3, 2), (4, 5, 3)]:
+        c1 = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
+        c2 = rng.standard_normal((n * o, n * o)) + 1j * rng.standard_normal((n * o, n * o))
+        comp = compose_choi(c1, c2, m, n, o)
+        assert comp.shape == (m * o, m * o)
+        # reference: the index contraction written out
+        ref = np.einsum(
+            "iajb,akbl->ikjl", c1.reshape(m, n, m, n), c2.reshape(n, o, n, o)
+        ).reshape(m * o, m * o)
+        assert np.allclose(comp, ref, atol=1e-12)
+        a = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        direct = apply_choi(c2, apply_choi(c1, a, m, n), n, o)
+        assert np.allclose(apply_choi(comp, a, m, o), direct, atol=1e-12)
 
 
 def test_hom_raw_roundtrip_permutation():
@@ -205,6 +212,41 @@ def test_hom_raw_roundtrip_random():
     assert back.mult == f.mult
     for _, _, _, e in src.matrix_units():
         assert apply_hom(back, e).distance(apply_hom(f, e)) < 1e-10
+
+
+def _reference_mult_defect(raw: RawLinearMap) -> float:
+    # worst ||F(E_ij) F(E_kl) - delta_jk F(E_il)|| over all pairs of matrix units
+    images = {(y, i, j): raw.apply(e) for y, i, j, e in raw.source.matrix_units()}
+    worst = 0.0
+    for (y, i, j), left in images.items():
+        for (yp, k, l), right in images.items():
+            prod = left @ right
+            if y == yp and j == k:
+                worst = max(worst, prod.distance(images[(y, i, l)]))
+            else:
+                worst = max(worst, prod.norm())
+    return worst
+
+
+def test_perturbed_raw_map_is_not_multiplicative():
+    # (1 + eps) F - eps * tau(.) 1 stays unital and adjoint-preserving, but is
+    # not multiplicative; the defect must match the pairwise reference loop
+    rng = np.random.default_rng(32)
+    src = AlgebraSpec((2, 1))
+    tgt = AlgebraSpec((4, 1))
+    u = haar_unitary(rng, 4)
+    f = StarHom(src, tgt, ((1, 0), (2, 1)), (u, np.eye(1)))
+    tau = vec_element(src.identity()) / src.side
+    eps = 1e-3
+    matrix = (1 + eps) * hom_to_raw(f).matrix
+    matrix -= eps * np.outer(vec_element(tgt.identity()), tau)
+    raw = RawLinearMap(src, tgt, matrix)
+    with pytest.raises(NotAHomomorphismError) as exc:
+        hom_from_raw(raw)
+    assert exc.value.axiom == "multiplicative"
+    ref = _reference_mult_defect(raw)
+    assert ref > 1e-4
+    assert abs(exc.value.residual - ref) < 1e-12
 
 
 def test_transpose_is_not_a_homomorphism():
@@ -308,6 +350,21 @@ def test_ad_unitary_pair_inverts():
     a = element_from_blocks(alg, [rng.standard_normal((3, 3))])
     # cpu is conjugation by u as well, so composing with the hom of u-adjoint inverts
     assert apply_cpu(ad_cpu(u.adjoint()), apply_hom(hom, a)).distance(a) < 1e-12
+
+
+def test_ad_cpu_matches_choi_from_function():
+    rng = np.random.default_rng(43)
+    alg = AlgebraSpec((3, 2))
+    u = element_from_blocks(alg, [haar_unitary(rng, 3), haar_unitary(rng, 2)])
+    q = ad_cpu(u)
+    for y, n in enumerate(alg.block_dims):
+        for x, m in enumerate(alg.block_dims):
+            if x == y:
+                b = u.blocks[x]
+                ref = choi_from_function(lambda e: b @ e @ b.conj().T, m, n)
+            else:
+                ref = np.zeros((m * n, m * n))
+            assert np.allclose(q.component(y, x), ref, atol=1e-14)
 
 
 def test_ad_rejects_non_unitary():
