@@ -10,6 +10,7 @@ combinations stay closed.  All logarithms are natural.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -146,7 +147,9 @@ class State:
 
     Evaluation pairs by trace: the value on an element is the sum over blocks
     of trace(density @ block).  A valid state has Hermitian PSD densities
-    whose traces sum to one.
+    whose traces sum to one.  The densities are read-only copies, so the
+    eigendecomposition of each is computed once, on first use, and cached
+    (``spectra``); supports and entropies are read off it.
     """
 
     algebra: AlgebraSpec
@@ -168,17 +171,26 @@ class State:
         """Real part of the per-block traces."""
         return np.array([np.trace(d).real for d in self.densities])
 
+    @cached_property
+    def spectra(self) -> tuple[HermitianEigen, ...]:
+        """Eigendecomposition of each density, Hermitian within DEFAULT_ATOL."""
+        return tuple(hermitian_eigen(d) for d in self.densities)
+
+    def support(
+        self, cutoff: float = DEFAULT_CUTOFF
+    ) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per block, the kept eigenvalues and eigenvectors of the density.
+
+        The cutoff is relative to the largest eigenvalue of the whole state,
+        so a block carrying only noise weight has an empty support.
+        """
+        top = max(e.eigenvalues[-1] for e in self.spectra)
+        return tuple(supported_spectrum(e, top, cutoff) for e in self.spectra)
+
     def evaluate(self, a: AlgebraElement) -> complex:
         if a.algebra != self.algebra:
             raise AlgebraMismatchError("element lives on a different algebra")
         return complex(sum(np.trace(d @ b) for d, b in zip(self.densities, a.blocks)))
-
-    def normalized_block(self, x: int, tol: float = DEFAULT_ATOL) -> np.ndarray | None:
-        """Density of block x normalized to unit trace, or None below weight tol."""
-        w = np.trace(self.densities[x]).real
-        if w <= tol:
-            return None
-        return self.densities[x] / w
 
 
 def state_distance(s1: State, s2: State) -> float:
@@ -230,25 +242,35 @@ def partial_trace_left(t: np.ndarray, a: int, b: int) -> np.ndarray:
     return np.einsum("ikil->kl", t.reshape(a, b, a, b))
 
 
-def _spectral_apply(
-    m: np.ndarray,
-    fn,
-    cutoff: float = DEFAULT_CUTOFF,
-    atol: float = DEFAULT_ATOL,
-    require_psd: bool = False,
-) -> np.ndarray:
-    eig = hermitian_eigen(m, atol)
-    vals = eig.eigenvalues
-    top = vals[-1] if vals.size else 0.0
-    if require_psd and vals.size and vals[0] < -atol:
+def supported_spectrum(
+    eig: HermitianEigen, top: float, cutoff: float = DEFAULT_CUTOFF
+) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues above cutoff * top, with their eigenvector columns.
+
+    top is the largest eigenvalue the cutoff is relative to; nothing is kept
+    when it is not positive.
+    """
+    keep = eig.eigenvalues > max(cutoff * top, 0.0)
+    return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+
+
+def _require_psd(eig: HermitianEigen, atol: float = DEFAULT_ATOL) -> None:
+    low = eig.eigenvalues[0] if eig.eigenvalues.size else 0.0
+    if low < -atol:
         raise np.linalg.LinAlgError(
-            f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
+            f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
         )
-    out = np.zeros_like(vals)
-    if top > 0:
-        mask = vals > cutoff * top
-        out[mask] = fn(vals[mask])
-    return (eig.eigenvectors * out) @ eig.eigenvectors.conj().T
+
+
+def _spectral_apply(
+    m: np.ndarray, fn, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
+) -> np.ndarray:
+    """fn of a Hermitian PSD matrix on its support, cutoff relative to its top."""
+    eig = hermitian_eigen(m, atol)
+    _require_psd(eig, atol)
+    top = eig.eigenvalues[-1] if eig.eigenvalues.size else 0.0
+    vals, vecs = supported_spectrum(eig, top, cutoff)
+    return (vecs * fn(vals)) @ vecs.conj().T
 
 
 def hermitian_exp(m: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
@@ -265,21 +287,21 @@ def hermitian_log(
     Eigenvalues at or below cutoff times the largest eigenvalue are treated as
     zero and contribute zero to the result (the 0 log 0 = 0 convention).
     """
-    return _spectral_apply(m, np.log, cutoff, atol, require_psd=True)
+    return _spectral_apply(m, np.log, cutoff, atol)
 
 
 def support_projection(
     m: np.ndarray, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
 ) -> np.ndarray:
     """Orthogonal projection onto eigenspaces above the relative cutoff."""
-    return _spectral_apply(m, np.ones_like, cutoff, atol, require_psd=True)
+    return _spectral_apply(m, np.ones_like, cutoff, atol)
 
 
 def hermitian_pinv(
     m: np.ndarray, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
 ) -> np.ndarray:
     """Pseudo-inverse of a Hermitian PSD matrix with a relative spectral cutoff."""
-    return _spectral_apply(m, lambda v: 1.0 / v, cutoff, atol, require_psd=True)
+    return _spectral_apply(m, lambda v: 1.0 / v, cutoff, atol)
 
 
 def absolutely_continuous(
@@ -287,16 +309,20 @@ def absolutely_continuous(
 ) -> bool:
     """Whether the support of s1 is contained in the support of s2, blockwise.
 
-    Tested as norm((1 - P2) P1 (1 - P2)) <= cutoff per block, with the support
-    projections built at the same relative spectral cutoff.
+    The supports are the kept eigenvectors of the cached spectra (``State.support``,
+    cutoff relative to each state's largest eigenvalue).  With U1, V2 the kept
+    eigenvectors of one block of s1 and s2, the test is
+    norm(U1 - V2 (V2^H U1), 2)^2 <= cutoff, which equals
+    norm((1 - P2) P1 (1 - P2), 2) for the support projections P1, P2.
+    Raises LinAlgError when a density has an eigenvalue below -DEFAULT_ATOL.
     """
     if s1.algebra != s2.algebra:
         raise AlgebraMismatchError("states live on different algebras")
-    for d1, d2 in zip(s1.densities, s2.densities):
-        p1 = support_projection(d1, cutoff)
-        p2 = support_projection(d2, cutoff)
-        comp = np.eye(d2.shape[0]) - p2
-        if np.linalg.norm(comp @ p1 @ comp, 2) > cutoff:
+    blocks = zip(s1.spectra, s2.spectra, s1.support(cutoff), s2.support(cutoff))
+    for e1, e2, (_, u1), (_, v2) in blocks:
+        _require_psd(e1)
+        _require_psd(e2)
+        if u1.size and np.linalg.norm(u1 - v2 @ (v2.conj().T @ u1), 2) ** 2 > cutoff:
             return False
     return True
 

@@ -24,7 +24,6 @@ from .algebra import (
     AlgebraSpec,
     State,
     absolutely_continuous,
-    hermitian_eigen,
     hermitian_log,
     partial_trace_left,
 )
@@ -46,49 +45,39 @@ from .maps import (
 )
 
 
-def _supported_spectrum(d: np.ndarray, cutoff: float):
-    eig = hermitian_eigen(d, atol=1e-6)
-    vals = eig.eigenvalues
-    top = vals[-1] if vals.size else 0.0
-    if top <= 0:
-        return np.zeros(0), eig.eigenvectors[:, :0]
-    mask = vals > cutoff * top
-    return vals[mask], eig.eigenvectors[:, mask]
-
-
-def _entropy_sum(d: np.ndarray, cutoff: float) -> float:
-    """trace(d ln d) over the support, with 0 ln 0 = 0."""
-    vals, _ = _supported_spectrum(d, cutoff)
-    if vals.size == 0:
-        return 0.0
+def _entropy_sum(vals: np.ndarray) -> float:
+    """sum of v ln v over kept eigenvalues, with 0 ln 0 = 0."""
     return float(np.sum(vals * np.log(vals)))
 
 
 def von_neumann_entropy(s: State, cutoff: float = DEFAULT_CUTOFF) -> float:
-    """Entropy of a block state; mixes the block weights with the block entropies."""
-    return -sum(_entropy_sum(d, cutoff) for d in s.densities)
+    """Entropy of a block state; mixes the block weights with the block entropies.
+
+    Read off the cached spectra; the cutoff is relative to the largest
+    eigenvalue of the whole state.
+    """
+    return -sum(_entropy_sum(vals) for vals, _ in s.support(cutoff))
 
 
 def relative_entropy(s1: State, s2: State, cutoff: float = DEFAULT_CUTOFF) -> float:
     """Relative entropy of s1 with respect to s2, infinite off the support.
 
-    Computed blockwise from the two eigendecompositions: the entropy sum of s1
-    minus the cross term pairing the eigenvalues of s1 against the logarithms
-    of the supported eigenvalues of s2 through squared eigenvector overlaps.
+    Infinite unless absolutely_continuous(s1, s2, cutoff).  Otherwise computed
+    blockwise from the cached spectra, one eigendecomposition per density: the
+    entropy sum of s1 minus the cross term pairing the kept eigenvalues of s1
+    against the logarithms of the kept eigenvalues of s2 through squared
+    eigenvector overlaps.  Each state's cutoff is relative to its own largest
+    eigenvalue over all blocks.
     """
     if s1.algebra != s2.algebra:
         raise AlgebraMismatchError("states live on different algebras")
     if not absolutely_continuous(s1, s2, cutoff):
         return math.inf
     total = 0.0
-    for d1, d2 in zip(s1.densities, s2.densities):
-        lam, u = _supported_spectrum(d1, cutoff)
+    for (lam, u), (mu, v) in zip(s1.support(cutoff), s2.support(cutoff)):
         if lam.size == 0:
             continue
-        mu, v = _supported_spectrum(d2, cutoff)
-        if mu.size == 0:
-            return math.inf  # weight on a block the reference state misses
-        total += float(np.sum(lam * np.log(lam)))
+        total += _entropy_sum(lam)
         overlaps = np.abs(u.conj().T @ v) ** 2
         total -= float(lam @ overlaps @ np.log(mu))
     return total
@@ -128,9 +117,9 @@ def conditional_entropy(
         )
     head = math.prod(dims[: len(dims) - num_conditioned])
     tail = math.prod(dims[len(dims) - num_conditioned :])
-    rho = s.densities[0]
-    rho_tail = partial_trace_left(rho, head, tail)
-    return _entropy_sum(rho, cutoff) - _entropy_sum(rho_tail, cutoff)
+    rho_tail = partial_trace_left(s.densities[0], head, tail)
+    reduced = State(AlgebraSpec((tail,)), (rho_tail,))
+    return von_neumann_entropy(reduced, cutoff) - von_neumann_entropy(s, cutoff)
 
 
 # ---------------------------------------------------------------------------

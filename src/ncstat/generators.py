@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_ATOL, DEFAULT_CUTOFF, AlgebraElement, AlgebraSpec, State
+from .algebra import DEFAULT_ATOL, AlgebraElement, AlgebraSpec, State
 from .errors import ShapeError
 from .hypotheses import (
     AlphaFamily,
@@ -38,7 +38,6 @@ class GeneratorConfig:
     max_block_dim: int = 3
     faithful_only: bool = False
     atol: float = DEFAULT_ATOL
-    cutoff: float = DEFAULT_CUTOFF
 
     def __post_init__(self):
         if self.trials < 1:
@@ -76,14 +75,6 @@ def gen_element(
             b = (b + b.conj().T) / 2
         blocks.append(b)
     return AlgebraElement(algebra, tuple(blocks))
-
-
-def gen_unitary_element(
-    rng: np.random.Generator, algebra: AlgebraSpec
-) -> AlgebraElement:
-    return AlgebraElement(
-        algebra, tuple(haar_unitary(rng, d) for d in algebra.block_dims)
-    )
 
 
 def gen_state(

@@ -148,10 +148,10 @@ def _standard_block(
     m = sum(c * n for c, n in zip(mult_col, source_dims))
     out = np.zeros((m, m), dtype=np.complex128)
     off = 0
-    for b, (c, n) in zip(source_blocks, zip(mult_col, source_dims)):
-        if c:
-            out[off : off + c * n, off : off + c * n] = np.kron(np.eye(c), b)
-            off += c * n
+    for b, c, n in zip(source_blocks, mult_col, source_dims):
+        for _ in range(c):
+            out[off : off + n, off : off + n] = b
+            off += n
     return out
 
 
@@ -209,16 +209,7 @@ def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
 
     conjugators = []
     for x, m in enumerate(outer.target.block_dims):
-        w = np.zeros((m, m), dtype=np.complex128)
-        off = 0
-        for y in range(t):
-            c = c_out[y, x]
-            if c:
-                size = c * n_dims[y]
-                w[off : off + size, off : off + size] = np.kron(
-                    np.eye(c), inner.conjugators[y]
-                )
-                off += size
+        w = _standard_block(inner.conjugators, n_dims, c_out[:, x])
         # inner segment offsets within each middle block y
         off_out = [0] * t
         acc = 0
@@ -561,15 +552,19 @@ def compose_cpu(outer: CPUMap, inner: CPUMap) -> CPUMap:
     """Composite outer after inner on the Choi level."""
     if inner.target != outer.source:
         raise AlgebraMismatchError("inner target does not match outer source")
+    # an all-zero component contributes nothing to any product it enters
+    inner_nz = [[c.any() for c in row] for row in inner.components]
+    outer_nz = [[c.any() for c in row] for row in outer.components]
     comps = []
     for z, o in enumerate(outer.target.block_dims):
         row = []
         for x, m in enumerate(inner.source.block_dims):
             acc = np.zeros((m * o, m * o), dtype=np.complex128)
             for y, n in enumerate(inner.target.block_dims):
-                acc += compose_choi(
-                    inner.components[y][x], outer.components[z][y], m, n, o
-                )
+                if inner_nz[y][x] and outer_nz[z][y]:
+                    acc += compose_choi(
+                        inner.components[y][x], outer.components[z][y], m, n, o
+                    )
             row.append(acc)
         comps.append(tuple(row))
     return CPUMap(inner.source, outer.target, tuple(comps))

@@ -180,6 +180,70 @@ def test_absolute_continuity_blockwise():
     assert not absolutely_continuous(rotated, partial)
 
 
+def _reference_absolutely_continuous(s1, s2, cutoff=1e-10):
+    """Projector formula: norm((1 - P2) P1 (1 - P2), 2) <= cutoff per block."""
+
+    def projections(s):
+        eigs = [np.linalg.eigh(d) for d in s.densities]
+        top = max(vals[-1] for vals, _ in eigs)
+        out = []
+        for vals, vecs in eigs:
+            kept = vecs[:, vals > cutoff * top]
+            out.append(kept @ kept.conj().T)
+        return out
+
+    for p1, p2 in zip(projections(s1), projections(s2)):
+        comp = np.eye(p2.shape[0]) - p2
+        if np.linalg.norm(comp @ p1 @ comp, 2) > cutoff:
+            return False
+    return True
+
+
+def test_absolute_continuity_matches_projector_formula():
+    rng = np.random.default_rng(1402)
+    outcomes = []
+    for _ in range(300):
+        dims = tuple(int(d) for d in rng.integers(1, 5, size=int(rng.integers(1, 4))))
+        blocks1, blocks2 = [], []
+        for x, n in enumerate(dims):
+            basis = np.linalg.qr(
+                rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            )[0]
+            # empty and rank-deficient blocks, but never an empty state
+            lo = 1 if x == 0 else 0
+            k2 = int(rng.integers(lo, n + 1))
+            k1 = int(rng.integers(lo, n + 1))
+            if rng.random() < 0.5:
+                # rotated support for s1: generically not inside that of s2
+                basis1 = np.linalg.qr(
+                    rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+                )[0]
+            else:
+                basis1, k1 = basis, min(k1, k2)
+            w1 = rng.random(k1) + 0.1
+            w2 = rng.random(k2) + 0.1
+            blocks1.append((basis1[:, :k1] * w1) @ basis1[:, :k1].conj().T)
+            blocks2.append((basis[:, :k2] * w2) @ basis[:, :k2].conj().T)
+        t1 = sum(np.trace(b).real for b in blocks1)
+        t2 = sum(np.trace(b).real for b in blocks2)
+        s1 = State(AlgebraSpec(dims), tuple(b / t1 for b in blocks1))
+        s2 = State(AlgebraSpec(dims), tuple(b / t2 for b in blocks2))
+        expected = _reference_absolutely_continuous(s1, s2)
+        assert absolutely_continuous(s1, s2) == expected
+        outcomes.append(expected)
+    assert 50 < sum(outcomes) < 250
+
+
+def test_absolute_continuity_rejects_non_psd():
+    a = AlgebraSpec((2,))
+    good = State(a, (np.eye(2) / 2,))
+    bad = State(a, (np.diag([1.1, -0.1]),))
+    with pytest.raises(np.linalg.LinAlgError):
+        absolutely_continuous(good, bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        absolutely_continuous(bad, good)
+
+
 def test_direct_sum_algebras():
     c = direct_sum_algebras(AlgebraSpec((2, 1)), AlgebraSpec((3,)))
     assert c.block_dims == (2, 1, 3)

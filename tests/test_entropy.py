@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraSpec, State
+from ncstat.algebra import AlgebraSpec, State, absolutely_continuous
 from ncstat.entropy import (
     InfiniteRegimeReport,
     chain_rule_report,
@@ -105,6 +105,45 @@ def test_relative_entropy_orthogonal_supports():
     a = qubit_state(np.diag([1.0, 0.0]))
     b = qubit_state(np.diag([0.0, 1.0]))
     assert math.isinf(relative_entropy(a, b))
+
+
+def _random_density(rng, n, rank, weight):
+    g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
+    d = g @ g.conj().T
+    return weight * d / np.trace(d).real
+
+
+def test_relative_entropy_one_eigh_per_density(monkeypatch):
+    rng = np.random.default_rng(31)
+    alg = AlgebraSpec((2, 3))
+    s1 = State(alg, (_random_density(rng, 2, 1, 0.4), _random_density(rng, 3, 2, 0.6)))
+    s2 = State(alg, (_random_density(rng, 2, 2, 0.5), _random_density(rng, 3, 3, 0.5)))
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    first = relative_entropy(s1, s2)
+    assert math.isfinite(first)
+    assert len(calls) == 4  # one per density: two blocks, two states
+    assert relative_entropy(s1, s2) == first
+    assert len(calls) == 4  # the spectra are cached on the states
+
+
+def test_noise_block_keeps_relative_entropy_finite():
+    # a block of weight 1e-17 is noise against the state's largest eigenvalue,
+    # just as an eigenvalue of 1e-12 inside a block is
+    alg = AlgebraSpec((1, 1))
+    s1 = State(alg, (np.array([[1 - 1e-17]]), np.array([[1e-17]])))
+    s2 = State(alg, (np.array([[1.0]]), np.array([[0.0]])))
+    assert absolutely_continuous(s1, s2)
+    assert abs(relative_entropy(s1, s2)) < 1e-15
+    assert abs(von_neumann_entropy(s1)) < 1e-15
+    other = State(alg, (np.array([[0.0]]), np.array([[1.0]])))
+    assert math.isinf(relative_entropy(s2, other))
 
 
 def test_relative_entropy_algebra_mismatch():

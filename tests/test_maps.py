@@ -78,6 +78,31 @@ def test_multiplicity_embedding_action():
     assert np.allclose(out.blocks[0], np.kron(np.eye(2), a.blocks[0]))
 
 
+def test_apply_hom_matches_kron_reference():
+    rng = np.random.default_rng(12)
+    src = AlgebraSpec((2, 1, 3))
+    mult = ((2, 0, 1), (1, 3, 0), (0, 2, 2))
+    tgt = AlgebraSpec((5, 9, 8))
+    conj = tuple(haar_unitary(rng, m) for m in tgt.block_dims)
+    f = StarHom(src, tgt, mult, conj)
+    a = element_from_blocks(
+        src,
+        [
+            rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            for n in src.block_dims
+        ],
+    )
+    out = apply_hom(f, a)
+    for x, (m, u) in enumerate(zip(tgt.block_dims, conj)):
+        std = np.zeros((m, m), dtype=complex)
+        off = 0
+        for y, b in enumerate(a.blocks):
+            size = mult[y][x] * b.shape[0]
+            std[off : off + size, off : off + size] = np.kron(np.eye(mult[y][x]), b)
+            off += size
+        assert np.allclose(out.blocks[x], u @ std @ u.conj().T, atol=1e-13)
+
+
 def test_hom_is_multiplicative_and_unital():
     rng = np.random.default_rng(5)
     src = AlgebraSpec((2, 1))
