@@ -166,11 +166,6 @@ class State:
         )
         object.__setattr__(self, "densities", frozen)
 
-    @property
-    def block_weights(self) -> np.ndarray:
-        """Real part of the per-block traces."""
-        return np.array([np.trace(d).real for d in self.densities])
-
     @cached_property
     def spectra(self) -> tuple[HermitianEigen, ...]:
         """Eigendecomposition of each density, Hermitian within DEFAULT_ATOL."""

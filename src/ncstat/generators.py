@@ -14,17 +14,14 @@ import numpy as np
 
 from .algebra import DEFAULT_ATOL, AlgebraElement, AlgebraSpec, State
 from .errors import ShapeError
-from .hypotheses import (
-    AlphaFamily,
-    NCMorphism,
-    NCObject,
-    build_hypothesis_from_alphas,
-)
-from .maps import StarHom, ad_cpu, compose_cpu, pushforward_state, strip_conjugators
+from .hypotheses import AlphaFamily, NCMorphism, build_hypothesis_from_alphas
+from .maps import StarHom, pushforward_state
 
 _MASK64 = (1 << 64) - 1
 
-# Faithful states get eigenvalues at least this fraction of the largest one.
+# Faithful states are mixed with the maximally mixed state at weight
+# mu = min(2 FAITHFUL_FLOOR side, 1/2), so every eigenvalue is at least
+# mu / side: 2 FAITHFUL_FLOOR up to side 250, 1 / (2 side) beyond.
 FAITHFUL_FLOOR = 1e-3
 
 
@@ -110,12 +107,18 @@ def gen_state(
         total = np.trace(blocks[0]).real
     blocks = [b / total for b in blocks]
     if faithful:
-        side = algebra.side
-        mu = 2 * FAITHFUL_FLOOR * side
-        blocks = [
-            (1 - mu) * b + (mu / side) * np.eye(b.shape[0]) for b in blocks
-        ]
+        blocks = [_mix_with_identity(b, algebra.side) for b in blocks]
     return State(algebra, tuple(blocks))
+
+
+def _mix_with_identity(b: np.ndarray, side: int) -> np.ndarray:
+    """Mix one block of a unit-trace density with the maximally mixed 1/side.
+
+    The weight mu on the maximally mixed state is 2 FAITHFUL_FLOOR side, capped
+    at 1/2 so the mixture stays a density at every side.
+    """
+    mu = min(2 * FAITHFUL_FLOOR * side, 0.5)
+    return (1 - mu) * b + (mu / side) * np.eye(b.shape[0])
 
 
 def _columns_summing_to(dims: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
@@ -140,17 +143,16 @@ def gen_mult_matrix(
     hold; the stacked-identity pattern is the guaranteed fallback.
     """
     t = len(source_dims)
-    feasible = [
-        m
+    options_by_side = {
+        m: _columns_summing_to(source_dims, m)
         for m in range(1, cfg.max_block_dim + 1)
-        if _columns_summing_to(source_dims, m)
-    ]
+    }
+    feasible = [m for m, options in options_by_side.items() if options]
     for _ in range(200):
         s = int(rng.integers(1, cfg.max_blocks + 1))
         cols = []
         for _x in range(s):
-            m = int(feasible[rng.integers(0, len(feasible))])
-            options = _columns_summing_to(source_dims, m)
+            options = options_by_side[feasible[rng.integers(0, len(feasible))]]
             cols.append(options[rng.integers(0, len(options))])
         if all(any(cols[x][y] for x in range(s)) for y in range(t)):
             return tuple(tuple(cols[x][y] for x in range(s)) for y in range(t))
@@ -203,27 +205,6 @@ def gen_alpha_family(
     return AlphaFamily(mult, tuple(rows))
 
 
-def _hypothesis_with_target(
-    hom: StarHom, target_state: State, source_state: State, alphas: AlphaFamily
-) -> NCMorphism:
-    """Disintegration-form hypothesis for a hom with arbitrary conjugators.
-
-    The CPU map is built in standard form and the stripped unitary is folded
-    back in, so the section axiom holds for the original homomorphism.
-    """
-    u = AlgebraElement(hom.target, hom.conjugators)
-    std = build_hypothesis_from_alphas(
-        strip_conjugators(hom), source_state, alphas
-    )
-    cpu = compose_cpu(std.cpu, ad_cpu(u.adjoint()))
-    return NCMorphism(
-        source=NCObject.from_state(source_state),
-        target=NCObject.from_state(target_state),
-        hom=hom,
-        cpu=cpu,
-    )
-
-
 def gen_morphism(
     cfg: GeneratorConfig,
     rng: np.random.Generator | None = None,
@@ -242,7 +223,7 @@ def gen_morphism(
     omega = gen_state(hom.target, cfg, rng, faithful=faithful)
     xi = pushforward_state(omega, hom)
     alphas = gen_alpha_family(rng, hom.mult)
-    return _hypothesis_with_target(hom, omega, xi, alphas)
+    return build_hypothesis_from_alphas(hom, xi, alphas, target_state=omega)
 
 
 def gen_optimal_morphism(
@@ -255,22 +236,7 @@ def gen_optimal_morphism(
     hom = gen_star_hom(rng, source, cfg)
     xi = gen_state(hom.source, cfg, rng, faithful=True)
     alphas = gen_alpha_family(rng, hom.mult)
-    u = AlgebraElement(hom.target, hom.conjugators)
-    std = build_hypothesis_from_alphas(strip_conjugators(hom), xi, alphas)
-    omega = State(
-        hom.target,
-        tuple(
-            u.blocks[x] @ d @ u.blocks[x].conj().T
-            for x, d in enumerate(std.target.state.densities)
-        ),
-    )
-    cpu = compose_cpu(std.cpu, ad_cpu(u.adjoint()))
-    return NCMorphism(
-        source=NCObject.from_state(xi),
-        target=NCObject.from_state(omega),
-        hom=hom,
-        cpu=cpu,
-    )
+    return build_hypothesis_from_alphas(hom, xi, alphas)
 
 
 def gen_composable_pair(
@@ -293,11 +259,11 @@ def gen_composable_pair(
     omega = gen_state(hom_outer.target, cfg, rng, faithful=faithful)
     xi = pushforward_state(omega, hom_outer)
     zeta = pushforward_state(xi, hom_inner)
-    outer = _hypothesis_with_target(
-        hom_outer, omega, xi, gen_alpha_family(rng, hom_outer.mult)
+    outer = build_hypothesis_from_alphas(
+        hom_outer, xi, gen_alpha_family(rng, hom_outer.mult), target_state=omega
     )
-    inner = _hypothesis_with_target(
-        hom_inner, xi, zeta, gen_alpha_family(rng, hom_inner.mult)
+    inner = build_hypothesis_from_alphas(
+        hom_inner, zeta, gen_alpha_family(rng, hom_inner.mult), target_state=xi
     )
     return inner, outer
 
@@ -311,8 +277,7 @@ def gen_density(
     rho = g @ g.conj().T
     rho /= np.trace(rho).real
     if faithful:
-        mu = 2 * FAITHFUL_FLOOR * side
-        rho = (1 - mu) * rho + (mu / side) * np.eye(side)
+        rho = _mix_with_identity(rho, side)
     return rho
 
 

@@ -361,7 +361,11 @@ def _factor_state(
     atol: float,
     cutoff: float,
 ):
-    """Factor every block of s through the segment layout of a standard hom."""
+    """Factor every block of s through the segment layout of hom.
+
+    Only the layout (multiplicities and block sides) is read, so s must
+    already be in the standard frame; the conjugators are ignored.
+    """
     imap = hom.index_map
     t = hom.source.num_blocks
     s_blocks = hom.target.num_blocks
@@ -432,17 +436,19 @@ def build_hypothesis_from_alphas(
     target_state: State | None = None,
     atol: float = DEFAULT_ATOL,
 ) -> NCMorphism:
-    """Assemble the disintegration-form hypothesis for a standard homomorphism.
+    """Assemble the disintegration-form hypothesis for a homomorphism.
 
-    The CPU component into source block y from target block x compresses to the
-    (y, y) diagonal segment, weights by alpha_yx on the copy factor, and takes
-    the partial trace over the copies.  When no target state is given, the one
-    that makes the morphism optimal is used: per target block, the direct sum
-    over y of alpha_yx kron (source density y).  A supplied target state must
-    still push forward to the source state for the result to be valid.
+    In the standard frame, the CPU component into source block y from target
+    block x compresses to the (y, y) diagonal segment, weights by alpha_yx on
+    the copy factor, and takes the partial trace over the copies.  The
+    conjugators U of the homomorphism are then folded in once, by composing
+    with conjugation by U^H, so the section axiom holds for hom itself; a hom
+    whose conjugators are exactly the identity skips that step.  When
+    no target state is given, the one that makes the morphism optimal is used:
+    per target block, U_x (direct sum over y of alpha_yx kron (source density
+    y)) U_x^H.  A supplied target state must still push forward to the source
+    state for the result to be valid.
     """
-    if not hom.is_standard():
-        raise ShapeError("build_hypothesis_from_alphas expects a standard-form homomorphism")
     if source_state.algebra != hom.source:
         raise AlgebraMismatchError("source state does not live on the hom source")
     if tuple(alphas.mult) != tuple(hom.mult):
@@ -466,10 +472,16 @@ def build_hypothesis_from_alphas(
         return np.einsum("kl,ljkJ->jJ", alpha, seg)
 
     cpu = cpu_from_functions(hom.target, hom.source, component)
+    # identity conjugators are skipped: composing with ad(1) is exact but
+    # regroups a side^4-entry Choi matrix per target block
+    standard = hom.is_standard(atol=0.0)
+    if not standard:
+        u = AlgebraElement(hom.target, hom.conjugators)
+        cpu = compose_cpu(cpu, ad_cpu(u.adjoint()))
 
     if target_state is None:
         densities = []
-        for x, m in enumerate(dims_tgt):
+        for x, (m, b) in enumerate(zip(dims_tgt, hom.conjugators)):
             d = np.zeros((m, m), dtype=np.complex128)
             for y, n in enumerate(dims_src):
                 c = hom.mult[y][x]
@@ -479,7 +491,7 @@ def build_hypothesis_from_alphas(
                 d[rows, cols] = np.kron(
                     alphas.get(y, x), source_state.densities[y]
                 )
-            densities.append(d)
+            densities.append(d if standard else b @ d @ b.conj().T)
         target_state = State(hom.target, tuple(densities))
 
     return NCMorphism(
@@ -499,32 +511,24 @@ def construct_optimal_hypothesis(
     """Disintegrate a state along a homomorphism, if possible.
 
     Pushes the target state back to the source, conjugates it into the standard
-    segment layout, and tries the segmentwise tensor factorization.  On success
-    the returned morphism is optimal by construction; obstruction is reported
-    as a NoDisintegration value, not an exception.
+    segment layout, and tries the segmentwise tensor factorization there.  On
+    success build_hypothesis_from_alphas assembles the morphism, which is
+    optimal by construction; obstruction is reported as a NoDisintegration
+    value, not an exception.
     """
     if target_state.algebra != hom.target:
         raise AlgebraMismatchError("state does not live on the hom target")
-    u = AlgebraElement(hom.target, hom.conjugators)
-    hom_std = strip_conjugators(hom)
-    omega_std = conjugate_state(target_state, u)
-    xi = pushforward_state(target_state, hom)
-    family, residual, ok = _factor_state(
-        omega_std, hom_std, xi.densities, atol, cutoff
+    omega_std = conjugate_state(
+        target_state, AlgebraElement(hom.target, hom.conjugators)
     )
+    xi = pushforward_state(target_state, hom)
+    family, residual, ok = _factor_state(omega_std, hom, xi.densities, atol, cutoff)
     if not ok:
         return NoDisintegration(
             residual,
             "target state does not factor through the segment layout "
             f"(residual {residual:.3e})",
         )
-    std = build_hypothesis_from_alphas(
-        hom_std, xi, family, target_state=omega_std, atol=atol
-    )
-    cpu = compose_cpu(std.cpu, ad_cpu(u.adjoint()))
-    return NCMorphism(
-        source=NCObject.from_state(xi),
-        target=NCObject.from_state(target_state),
-        hom=hom,
-        cpu=cpu,
+    return build_hypothesis_from_alphas(
+        hom, xi, family, target_state=target_state, atol=atol
     )

@@ -42,12 +42,6 @@ from .errors import (
 UNITARY_ATOL = 1e-8
 
 
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a = np.array(a, dtype=np.complex128)
-    a.setflags(write=False)
-    return a
-
-
 @dataclass(frozen=True)
 class BlockIndexMap:
     """Row/column bookkeeping for the standard-form segments of one homomorphism.
@@ -477,10 +471,6 @@ def compose_choi(
     return (a @ b).reshape(m, m, o, o).transpose(0, 2, 1, 3).reshape(m * o, m * o)
 
 
-def identity_choi(m: int) -> np.ndarray:
-    return choi_from_function(lambda e: e, m, m)
-
-
 @dataclass(frozen=True, eq=False)
 class CPUMap:
     """A linear map between block algebras stored as one Choi matrix per block pair.
@@ -651,13 +641,6 @@ def ad_cpu(u: AlgebraElement, atol: float = UNITARY_ATOL) -> CPUMap:
     the off-diagonal components vanish.  ad_hom checks unitarity.
     """
     return hom_to_cpu(ad_hom(u, atol))
-
-
-def ad_unitary(
-    u: AlgebraElement, atol: float = UNITARY_ATOL
-) -> tuple[StarHom, CPUMap]:
-    """Conjugation by a unitary, returned in both representations."""
-    return ad_hom(u, atol), ad_cpu(u, atol)
 
 
 def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncstat.algebra import validate_state
+from ncstat.algebra import AlgebraSpec, State, validate_state
 from ncstat.generators import (
     FAITHFUL_FLOOR,
     GeneratorConfig,
@@ -9,6 +9,7 @@ from ncstat.generators import (
     gen_alpha_family,
     gen_classical_distribution,
     gen_composable_pair,
+    gen_density,
     gen_morphism,
     gen_mult_matrix,
     gen_optimal_morphism,
@@ -61,6 +62,15 @@ def test_gen_state_faithful_floor():
         assert rep.ok and rep.faithful
         for d in s.densities:
             assert np.linalg.eigvalsh(d)[0] >= FAITHFUL_FLOOR
+
+
+def test_gen_density_faithful_at_large_side():
+    # past side 500 the uncapped mixing weight 2 FAITHFUL_FLOOR side exceeds 1
+    side = 1200
+    rho = gen_density(np.random.default_rng(12), side)
+    rep = validate_state(State(AlgebraSpec((side,)), (rho,)))
+    assert rep.ok and rep.faithful
+    assert np.linalg.eigvalsh(rho)[0] > 0
 
 
 def test_gen_state_nonfaithful_still_valid():

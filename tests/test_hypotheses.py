@@ -28,12 +28,17 @@ from ncstat.maps import (
     compose_cpu,
     cpu_from_functions,
     cpu_pushforward_state,
+    strip_conjugators,
 )
 from ncstat.generators import (
     GeneratorConfig,
+    gen_algebra,
+    gen_alpha_family,
     gen_composable_pair,
     gen_morphism,
     gen_optimal_morphism,
+    gen_star_hom,
+    gen_state,
     haar_unitary,
     rng_for,
 )
@@ -288,6 +293,86 @@ def test_alpha_family_validation():
     assert not rep.ok
     with pytest.raises(ShapeError):
         AlphaFamily(mult, ((np.eye(3),),))
+
+
+def _standard_frame_reference(hom, xi, alphas):
+    """The standard-frame hypothesis and default target, written out by hand.
+
+    Per target block x the source blocks y sit one after another, each as
+    mult[y][x] copies of an n_y-dimensional block; component (y, x) compresses
+    to that segment, weights the copy factor by alpha_yx and traces it out.
+    """
+    dims_src = hom.source.block_dims
+    offsets = [
+        np.cumsum([0] + [hom.mult[y][x] * n for y, n in enumerate(dims_src)])
+        for x in range(hom.target.num_blocks)
+    ]
+
+    def component(y, x, a):
+        c, n = hom.mult[y][x], dims_src[y]
+        if c == 0:
+            return np.zeros((n, n), dtype=np.complex128)
+        lo, hi = offsets[x][y], offsets[x][y + 1]
+        seg = a[lo:hi, lo:hi].reshape(c, n, c, n)
+        return np.einsum("kl,ljkJ->jJ", alphas.get(y, x), seg)
+
+    cpu = cpu_from_functions(hom.target, hom.source, component)
+    densities = []
+    for x, m in enumerate(hom.target.block_dims):
+        d = np.zeros((m, m), dtype=np.complex128)
+        for y in range(hom.source.num_blocks):
+            if hom.mult[y][x]:
+                lo, hi = offsets[x][y], offsets[x][y + 1]
+                d[lo:hi, lo:hi] = np.kron(alphas.get(y, x), xi.densities[y])
+        densities.append(d)
+    return cpu, densities
+
+
+def _conjugated_instances(n):
+    cfg = GeneratorConfig(seed=19, max_block_dim=4)
+    for t in range(n):
+        rng = rng_for(cfg, t)
+        hom = gen_star_hom(rng, gen_algebra(rng, cfg), cfg)
+        xi = gen_state(hom.source, cfg, rng, faithful=True)
+        yield hom, xi, gen_alpha_family(rng, hom.mult)
+
+
+def test_build_folds_conjugators():
+    for hom, xi, alphas in _conjugated_instances(12):
+        assert not hom.is_standard()
+        m = build_hypothesis_from_alphas(hom, xi, alphas)
+        # reference: build in the standard frame, then conjugate by U^H
+        std_cpu, std_densities = _standard_frame_reference(hom, xi, alphas)
+        u = element_from_blocks(hom.target, hom.conjugators)
+        ref = compose_cpu(std_cpu, ad_cpu(u.adjoint()))
+        for row, ref_row in zip(m.cpu.components, ref.components):
+            for c, c_ref in zip(row, ref_row):
+                assert np.array_equal(c, c_ref)
+        for d, d_std, b in zip(m.target.state.densities, std_densities, u.blocks):
+            assert np.array_equal(d, b @ d_std @ b.conj().T)
+        assert m.hom is hom
+        assert validate_morphism(m).ok
+        assert is_optimal(m)[0]
+
+
+def test_build_skips_identity_conjugators(monkeypatch):
+    import ncstat.hypotheses as hyp
+
+    def no_compose(*args, **kwargs):
+        raise AssertionError("a standard hom needs no conjugation")
+
+    for hom, xi, alphas in _conjugated_instances(6):
+        hom = strip_conjugators(hom)
+        with monkeypatch.context() as mp:
+            mp.setattr(hyp, "compose_cpu", no_compose)
+            m = build_hypothesis_from_alphas(hom, xi, alphas)
+        std_cpu, std_densities = _standard_frame_reference(hom, xi, alphas)
+        for row, ref_row in zip(m.cpu.components, std_cpu.components):
+            for c, c_ref in zip(row, ref_row):
+                assert np.array_equal(c, c_ref)
+        for d, d_std in zip(m.target.state.densities, std_densities):
+            assert np.array_equal(d, d_std)
+        assert validate_morphism(m).ok
 
 
 def test_build_rejects_mismatched_alphas():
