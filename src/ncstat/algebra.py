@@ -137,8 +137,8 @@ class AlgebraElement:
     def distance(self, other: "AlgebraElement") -> float:
         return (self - other).norm()
 
-    def is_hermitian(self, atol: float = DEFAULT_ATOL) -> bool:
-        return all(np.linalg.norm(b - b.conj().T) <= atol for b in self.blocks)
+    def is_hermitian(self) -> bool:
+        return all(np.linalg.norm(b - b.conj().T) <= DEFAULT_ATOL for b in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,13 +210,13 @@ class HermitianEigen:
     eigenvectors: np.ndarray
 
 
-def hermitian_eigen(m: np.ndarray, atol: float = DEFAULT_ATOL) -> HermitianEigen:
-    """Eigendecompose m, insisting it is Hermitian within atol in Frobenius norm."""
+def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
+    """Eigendecompose m, insisting it is Hermitian within DEFAULT_ATOL (Frobenius)."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
     herm_defect = np.linalg.norm(m - m.conj().T) if m.size else 0.0
-    if herm_defect > atol:
+    if herm_defect > DEFAULT_ATOL:
         raise np.linalg.LinAlgError(
             f"matrix is not Hermitian within tolerance (defect {herm_defect:.3e})"
         )
@@ -249,54 +249,47 @@ def supported_spectrum(
     return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
 
 
-def _require_psd(eig: HermitianEigen, atol: float = DEFAULT_ATOL) -> None:
+def _require_psd(eig: HermitianEigen) -> None:
     low = eig.eigenvalues[0] if eig.eigenvalues.size else 0.0
-    if low < -atol:
+    if low < -DEFAULT_ATOL:
         raise np.linalg.LinAlgError(
             f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
         )
 
 
-def _spectral_apply(
-    m: np.ndarray, fn, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
-) -> np.ndarray:
-    """fn of a Hermitian PSD matrix on its support, cutoff relative to its top."""
-    eig = hermitian_eigen(m, atol)
-    _require_psd(eig, atol)
+def _spectral_apply(m: np.ndarray, fn) -> np.ndarray:
+    """fn of a Hermitian PSD matrix on its support, the cutoff relative to its top."""
+    eig = hermitian_eigen(m)
+    _require_psd(eig)
     top = eig.eigenvalues[-1] if eig.eigenvalues.size else 0.0
-    vals, vecs = supported_spectrum(eig, top, cutoff)
+    vals, vecs = supported_spectrum(eig, top)
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
-def hermitian_exp(m: np.ndarray, atol: float = DEFAULT_ATOL) -> np.ndarray:
+def hermitian_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via its eigendecomposition."""
-    eig = hermitian_eigen(m, atol)
+    eig = hermitian_eigen(m)
     return (eig.eigenvectors * np.exp(eig.eigenvalues)) @ eig.eigenvectors.conj().T
 
 
-def hermitian_log(
-    m: np.ndarray, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
-) -> np.ndarray:
+def hermitian_log(m: np.ndarray) -> np.ndarray:
     """Matrix logarithm on the support of a Hermitian PSD matrix.
 
-    Eigenvalues at or below cutoff times the largest eigenvalue are treated as
-    zero and contribute zero to the result (the 0 log 0 = 0 convention).
+    Eigenvalues at or below DEFAULT_CUTOFF times the largest eigenvalue are
+    treated as zero and contribute zero to the result (the 0 log 0 = 0
+    convention).
     """
-    return _spectral_apply(m, np.log, cutoff, atol)
+    return _spectral_apply(m, np.log)
 
 
-def support_projection(
-    m: np.ndarray, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
-) -> np.ndarray:
+def support_projection(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto eigenspaces above the relative cutoff."""
-    return _spectral_apply(m, np.ones_like, cutoff, atol)
+    return _spectral_apply(m, np.ones_like)
 
 
-def hermitian_pinv(
-    m: np.ndarray, cutoff: float = DEFAULT_CUTOFF, atol: float = DEFAULT_ATOL
-) -> np.ndarray:
+def hermitian_pinv(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a Hermitian PSD matrix with a relative spectral cutoff."""
-    return _spectral_apply(m, lambda v: 1.0 / v, cutoff, atol)
+    return _spectral_apply(m, lambda v: 1.0 / v)
 
 
 def absolutely_continuous(

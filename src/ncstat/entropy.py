@@ -19,11 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from .algebra import (
-    DEFAULT_ATOL,
     DEFAULT_CUTOFF,
     AlgebraSpec,
     State,
     absolutely_continuous,
+    direct_sum_algebras,
     hermitian_log,
     partial_trace_left,
 )
@@ -50,13 +50,13 @@ def _entropy_sum(vals: np.ndarray) -> float:
     return float(np.sum(vals * np.log(vals)))
 
 
-def von_neumann_entropy(s: State, cutoff: float = DEFAULT_CUTOFF) -> float:
+def von_neumann_entropy(s: State) -> float:
     """Entropy of a block state; mixes the block weights with the block entropies.
 
-    Read off the cached spectra; the cutoff is relative to the largest
+    Read off the cached spectra; DEFAULT_CUTOFF is relative to the largest
     eigenvalue of the whole state.
     """
-    return -sum(_entropy_sum(vals) for vals, _ in s.support(cutoff))
+    return -sum(_entropy_sum(vals) for vals, _ in s.support())
 
 
 def relative_entropy(s1: State, s2: State, cutoff: float = DEFAULT_CUTOFF) -> float:
@@ -94,10 +94,7 @@ def re_functor(m: NCMorphism, cutoff: float = DEFAULT_CUTOFF) -> float:
 
 
 def conditional_entropy(
-    s: State,
-    dims: Sequence[int],
-    num_conditioned: int = 1,
-    cutoff: float = DEFAULT_CUTOFF,
+    s: State, dims: Sequence[int], num_conditioned: int = 1
 ) -> float:
     """Flipped-sign conditional entropy of a single-block state on a tensor product.
 
@@ -119,7 +116,7 @@ def conditional_entropy(
     tail = math.prod(dims[len(dims) - num_conditioned :])
     rho_tail = partial_trace_left(s.densities[0], head, tail)
     reduced = State(AlgebraSpec((tail,)), (rho_tail,))
-    return von_neumann_entropy(reduced, cutoff) - von_neumann_entropy(s, cutoff)
+    return von_neumann_entropy(reduced) - von_neumann_entropy(s)
 
 
 # ---------------------------------------------------------------------------
@@ -130,8 +127,6 @@ def convex_sum_objects(lam: float, o1: NCObject, o2: NCObject) -> NCObject:
     """Convex combination: concatenated algebra, densities scaled by the weights."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {lam}")
-    from .algebra import direct_sum_algebras
-
     alg = direct_sum_algebras(o1.algebra, o2.algebra)
     densities = tuple(lam * d for d in o1.state.densities) + tuple(
         (1.0 - lam) * d for d in o2.state.densities
@@ -170,17 +165,15 @@ class InfiniteRegimeReport:
         )
 
 
-def functoriality_defect(
-    g: NCMorphism, f: NCMorphism, cutoff: float = DEFAULT_CUTOFF
-) -> float | InfiniteRegimeReport:
+def functoriality_defect(g: NCMorphism, f: NCMorphism) -> float | InfiniteRegimeReport:
     """Additivity defect of the relative entropy over a composable pair.
 
     Returns |RE(composite) - RE(inner) - RE(outer)| when all three terms are
     finite, and the raw terms otherwise.
     """
-    re_inner = re_functor(g, cutoff)
-    re_outer = re_functor(f, cutoff)
-    re_comp = re_functor(compose_morphisms(g, f), cutoff)
+    re_inner = re_functor(g)
+    re_outer = re_functor(f)
+    re_comp = re_functor(compose_morphisms(g, f))
     if any(math.isinf(v) for v in (re_inner, re_outer, re_comp)):
         return InfiniteRegimeReport(re_comp, re_inner, re_outer)
     return abs(re_comp - re_inner - re_outer)
@@ -212,12 +205,7 @@ class ExpansionCheck:
         )
 
 
-def re_expansions(
-    g: NCMorphism,
-    f: NCMorphism,
-    cutoff: float = DEFAULT_CUTOFF,
-    atol: float = DEFAULT_ATOL,
-) -> ExpansionCheck:
+def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
     """Evaluate the additivity expansions on a standard-form composable pair.
 
     Requires both homomorphisms standard form, faithful data, and the outer CPU
@@ -225,16 +213,16 @@ def re_expansions(
     """
     if not (g.hom.is_standard() and f.hom.is_standard()):
         raise ShapeError("re_expansions expects a rectified (standard-form) pair")
-    alphas = extract_alphas(f, atol, cutoff)
+    alphas = extract_alphas(f)
     omega = f.target.state
     xi = f.source.state
     mid = cpu_pushforward_state(g.source.state, g.cpu)  # intermediate pushback
     imap = f.hom.index_map
     dims_src = f.hom.source.block_dims
 
-    s_omega = von_neumann_entropy(omega, cutoff)
-    log_xi = [hermitian_log(d, cutoff) for d in xi.densities]
-    log_mid = [hermitian_log(d, cutoff) for d in mid.densities]
+    s_omega = von_neumann_entropy(omega)
+    log_xi = [hermitian_log(d) for d in xi.densities]
+    log_mid = [hermitian_log(d) for d in mid.densities]
 
     term_alpha = 0.0
     term_xi = 0.0
@@ -246,7 +234,7 @@ def re_expansions(
             if c == 0:
                 continue
             seg = imap.extract(d, x, y, y)
-            log_alpha = hermitian_log(alphas.get(y, x), cutoff)
+            log_alpha = hermitian_log(alphas.get(y, x))
             term_alpha += float(
                 np.trace(seg @ np.kron(log_alpha, np.eye(n))).real
             )
@@ -261,9 +249,9 @@ def re_expansions(
         rhs_outer=rhs_outer,
         rhs_inner=rhs_inner,
         rhs_composite=rhs_composite,
-        direct_outer=re_functor(f, cutoff),
-        direct_inner=re_functor(g, cutoff),
-        direct_composite=re_functor(compose_morphisms(g, f), cutoff),
+        direct_outer=re_functor(f),
+        direct_inner=re_functor(g),
+        direct_composite=re_functor(compose_morphisms(g, f)),
     )
 
 
@@ -335,9 +323,7 @@ class ChainRuleReport:
         return max(self.chain_defect, *self.identity_defects)
 
 
-def chain_rule_report(
-    rho_abc: np.ndarray, dims: Sequence[int], cutoff: float = DEFAULT_CUTOFF
-) -> ChainRuleReport:
+def chain_rule_report(rho_abc: np.ndarray, dims: Sequence[int]) -> ChainRuleReport:
     """Check the entropy chain rule and its relative entropy form on one density.
 
     The chain rule is h(first two | third) == h(first | last two) +
@@ -350,14 +336,14 @@ def chain_rule_report(
     omega = f.target.state
     xi = f.source.state
 
-    h_first = conditional_entropy(omega, (da, db, dc), num_conditioned=2, cutoff=cutoff)
-    h_two = conditional_entropy(omega, (da * db, dc), num_conditioned=1, cutoff=cutoff)
-    h_second = conditional_entropy(xi, (db, dc), num_conditioned=1, cutoff=cutoff)
+    h_first = conditional_entropy(omega, (da, db, dc), num_conditioned=2)
+    h_two = conditional_entropy(omega, (da * db, dc), num_conditioned=1)
+    h_second = conditional_entropy(xi, (db, dc), num_conditioned=1)
     chain_defect = abs(h_two - h_first - h_second)
 
-    re_outer = re_functor(f, cutoff)
-    re_inner = re_functor(g, cutoff)
-    re_comp = re_functor(compose_morphisms(g, f), cutoff)
+    re_outer = re_functor(f)
+    re_inner = re_functor(g)
+    re_comp = re_functor(compose_morphisms(g, f))
     identity_defects = (
         abs(re_comp - (h_two + math.log(da) + math.log(db))),
         abs(re_inner - (h_second + math.log(db))),

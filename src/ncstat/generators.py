@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DEFAULT_ATOL, AlgebraElement, AlgebraSpec, State
+from .algebra import AlgebraElement, AlgebraSpec, State
 from .errors import ShapeError
 from .hypotheses import AlphaFamily, NCMorphism, build_hypothesis_from_alphas
 from .maps import StarHom, pushforward_state
@@ -27,14 +27,13 @@ FAITHFUL_FLOOR = 1e-3
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Bounds and tolerances for random instance generation."""
+    """Seed, trial count and size bounds for random instance generation."""
 
     seed: int = 42
     trials: int = 200
     max_blocks: int = 3
     max_block_dim: int = 3
     faithful_only: bool = False
-    atol: float = DEFAULT_ATOL
 
     def __post_init__(self):
         if self.trials < 1:
@@ -62,15 +61,11 @@ def gen_algebra(rng: np.random.Generator, cfg: GeneratorConfig) -> AlgebraSpec:
     return AlgebraSpec(dims)
 
 
-def gen_element(
-    rng: np.random.Generator, algebra: AlgebraSpec, hermitian: bool = False
-) -> AlgebraElement:
-    blocks = []
-    for d in algebra.block_dims:
-        b = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
-        if hermitian:
-            b = (b + b.conj().T) / 2
-        blocks.append(b)
+def gen_element(rng: np.random.Generator, algebra: AlgebraSpec) -> AlgebraElement:
+    blocks = [
+        rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        for d in algebra.block_dims
+    ]
     return AlgebraElement(algebra, tuple(blocks))
 
 
@@ -206,9 +201,7 @@ def gen_alpha_family(
 
 
 def gen_morphism(
-    cfg: GeneratorConfig,
-    rng: np.random.Generator | None = None,
-    faithful: bool | None = None,
+    cfg: GeneratorConfig, rng: np.random.Generator, faithful: bool | None = None
 ) -> NCMorphism:
     """Random valid hypothesis; generically not optimal.
 
@@ -216,8 +209,6 @@ def gen_morphism(
     pushforward, and the CPU map is a random disintegration-form hypothesis
     against the source state.
     """
-    if rng is None:
-        rng = rng_for(cfg, 0)
     source = gen_algebra(rng, cfg)
     hom = gen_star_hom(rng, source, cfg)
     omega = gen_state(hom.target, cfg, rng, faithful=faithful)
@@ -226,12 +217,8 @@ def gen_morphism(
     return build_hypothesis_from_alphas(hom, xi, alphas, target_state=omega)
 
 
-def gen_optimal_morphism(
-    cfg: GeneratorConfig, rng: np.random.Generator | None = None
-) -> NCMorphism:
+def gen_optimal_morphism(cfg: GeneratorConfig, rng: np.random.Generator) -> NCMorphism:
     """Random optimal hypothesis: the target state is the one the CPU map recovers."""
-    if rng is None:
-        rng = rng_for(cfg, 0)
     source = gen_algebra(rng, cfg)
     hom = gen_star_hom(rng, source, cfg)
     xi = gen_state(hom.source, cfg, rng, faithful=True)
@@ -240,23 +227,19 @@ def gen_optimal_morphism(
 
 
 def gen_composable_pair(
-    cfg: GeneratorConfig,
-    rng: np.random.Generator | None = None,
-    faithful: bool = True,
+    cfg: GeneratorConfig, rng: np.random.Generator
 ) -> tuple[NCMorphism, NCMorphism]:
     """A composable pair of hypotheses sharing the middle object.
 
     Returns (inner, outer): inner goes from the smallest object to the middle
-    one, outer from the middle one to the largest.  With faithful True all
-    states and both pushed-back reference states have full support, so every
-    relative entropy in the additivity law is finite.
+    one, outer from the middle one to the largest.  All states and both
+    pushed-back reference states have full support, so every relative entropy
+    in the additivity law is finite.
     """
-    if rng is None:
-        rng = rng_for(cfg, 0)
     bottom = gen_algebra(rng, cfg)
     hom_inner = gen_star_hom(rng, bottom, cfg)
     hom_outer = gen_star_hom(rng, hom_inner.target, cfg)
-    omega = gen_state(hom_outer.target, cfg, rng, faithful=faithful)
+    omega = gen_state(hom_outer.target, cfg, rng, faithful=True)
     xi = pushforward_state(omega, hom_outer)
     zeta = pushforward_state(xi, hom_inner)
     outer = build_hypothesis_from_alphas(
@@ -281,9 +264,7 @@ def gen_density(
     return rho
 
 
-def gen_classical_distribution(
-    rng: np.random.Generator, n: int, floor: float = 1e-3
-) -> np.ndarray:
-    """Strictly positive probability vector of length n."""
-    p = rng.random(n) + floor
+def gen_classical_distribution(rng: np.random.Generator, n: int) -> np.ndarray:
+    """Strictly positive probability vector of length n: uniform draws plus 1e-3."""
+    p = rng.random(n) + 1e-3
     return p / p.sum()

@@ -15,7 +15,6 @@ import numpy as np
 
 from .algebra import (
     DEFAULT_ATOL,
-    DEFAULT_CUTOFF,
     AlgebraElement,
     AlgebraSpec,
     State,
@@ -270,13 +269,13 @@ def rectify_pair(g: NCMorphism, f: NCMorphism) -> RectificationResult:
     return RectificationResult(u=rf.u, v=v, morphisms=(rg.morphism, rf.morphism))
 
 
-def _check_composable(g: NCMorphism, f: NCMorphism, atol: float = OBJECT_STATE_ATOL):
+def _check_composable(g: NCMorphism, f: NCMorphism):
     if f.source.algebra != g.target.algebra:
         raise ObjectMismatchError("middle algebras differ")
     d = state_distance(f.source.state, g.target.state)
-    if d > atol:
+    if d > OBJECT_STATE_ATOL:
         raise ObjectMismatchError(
-            f"middle states differ by {d:.3e} (tolerance {atol:.1e})"
+            f"middle states differ by {d:.3e} (tolerance {OBJECT_STATE_ATOL:.1e})"
         )
 
 
@@ -302,7 +301,6 @@ def _factor_block(
     mult: tuple[tuple[int, ...], ...],
     refs: tuple[np.ndarray, ...],
     atol: float,
-    cutoff: float,
 ):
     """Factor one target-block density as blockdiag_y(alpha_yx kron ref_y).
 
@@ -340,7 +338,7 @@ def _factor_block(
             if leak > 10 * atol:
                 ok = False
             continue
-        ref_pinv = hermitian_pinv(ref, cutoff)
+        ref_pinv = hermitian_pinv(ref)
         denom = np.trace(ref @ ref_pinv).real
         seg4 = seg.reshape(c, n, c, n)
         alpha = np.einsum("kaKb,ba->kK", seg4, ref_pinv) / denom
@@ -359,7 +357,6 @@ def _factor_state(
     hom: StarHom,
     refs: tuple[np.ndarray, ...],
     atol: float,
-    cutoff: float,
 ):
     """Factor every block of s through the segment layout of hom.
 
@@ -373,9 +370,7 @@ def _factor_state(
     sq_residual = 0.0
     ok = True
     for x in range(s_blocks):
-        a, sq, good = _factor_block(
-            s.densities[x], x, imap, hom.mult, refs, atol, cutoff
-        )
+        a, sq, good = _factor_block(s.densities[x], x, imap, hom.mult, refs, atol)
         per_block.append(a)
         sq_residual += sq
         ok = ok and good
@@ -398,23 +393,21 @@ def _factor_state(
     return family, float(np.sqrt(sq_residual)), ok
 
 
-def extract_alphas(
-    m: NCMorphism, atol: float = DEFAULT_ATOL, cutoff: float = DEFAULT_CUTOFF
-) -> AlphaFamily:
+def extract_alphas(m: NCMorphism) -> AlphaFamily:
     """Recover the segment weights of a disintegration-form hypothesis.
 
     The source state pushed through the CPU map must decompose, per target
     block, as a direct sum over source blocks of alpha_yx kron (source block
     density).  Raises FactorizationError when any off-diagonal segment or
     factorization residual exceeds tolerance, which signals the CPU map is not
-    in disintegration form.  Source blocks with weight below atol are
+    in disintegration form.  Source blocks with weight below DEFAULT_ATOL are
     unconstrained and get the uniform choice.
     """
     if not m.hom.is_standard():
         raise ShapeError("extract_alphas expects a standard-form homomorphism")
     back = cpu_pushforward_state(m.source.state, m.cpu)
     family, residual, ok = _factor_state(
-        back, m.hom, m.source.state.densities, atol, cutoff
+        back, m.hom, m.source.state.densities, DEFAULT_ATOL
     )
     if not ok:
         raise FactorizationError(
@@ -422,7 +415,7 @@ def extract_alphas(
             f"pushed-back state does not factor segmentwise (residual {residual:.3e})",
         )
     row_defect = float(np.max(np.abs(family.row_traces() - 1.0)))
-    if row_defect > 10 * atol:
+    if row_defect > 10 * DEFAULT_ATOL:
         raise FactorizationError(
             row_defect, f"alpha rows are not normalized (defect {row_defect:.3e})"
         )
@@ -506,7 +499,6 @@ def construct_optimal_hypothesis(
     hom: StarHom,
     target_state: State,
     atol: float = DEFAULT_ATOL,
-    cutoff: float = DEFAULT_CUTOFF,
 ) -> NCMorphism | NoDisintegration:
     """Disintegrate a state along a homomorphism, if possible.
 
@@ -522,7 +514,7 @@ def construct_optimal_hypothesis(
         target_state, AlgebraElement(hom.target, hom.conjugators)
     )
     xi = pushforward_state(target_state, hom)
-    family, residual, ok = _factor_state(omega_std, hom, xi.densities, atol, cutoff)
+    family, residual, ok = _factor_state(omega_std, hom, xi.densities, atol)
     if not ok:
         return NoDisintegration(
             residual,

@@ -140,7 +140,7 @@ class LawReport:
 
 def _law_state_validity(rng, cfg) -> TrialOutcome:
     s = gen_state(gen_algebra(rng, cfg), cfg, rng)
-    rep = validate_state(s, cfg.atol)
+    rep = validate_state(s)
     worst = max((v.residual for v in rep.violations), default=0.0)
     return TrialOutcome(defect=worst)
 
@@ -287,7 +287,7 @@ def _law_pushforward_definitional(rng, cfg) -> TrialOutcome:
 
 def _law_cpu_validity(rng, cfg) -> TrialOutcome:
     m = gen_morphism(cfg, rng, faithful=True)
-    rep = validate_cpu(m.cpu, cfg.atol)
+    rep = validate_cpu(m.cpu)
     worst = max((v.residual for v in rep.violations), default=0.0)
     a = gen_element(rng, m.cpu.source)
     psd = a @ a.adjoint()
@@ -310,14 +310,14 @@ def _law_cpu_dual_pairing(rng, cfg) -> TrialOutcome:
 
 def _law_morphism_validity(rng, cfg) -> TrialOutcome:
     m = gen_morphism(cfg, rng)
-    rep = validate_morphism(m, cfg.atol)
+    rep = validate_morphism(m)
     worst = max((v.residual for v in rep.violations), default=0.0)
     return TrialOutcome(defect=worst)
 
 
 def _law_optimal_vanishing(rng, cfg) -> TrialOutcome:
     m = gen_optimal_morphism(cfg, rng)
-    flag, residual = is_optimal(m, cfg.atol)
+    flag, residual = is_optimal(m)
     if not flag:
         return TrialOutcome(defect=residual)
     value = ent.re_functor(m)
@@ -329,11 +329,11 @@ def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
     r = rectify_morphism(m)
     rect = r.morphism
     worst = max(
-        (v.residual for v in validate_morphism(rect, cfg.atol).violations),
+        (v.residual for v in validate_morphism(rect).violations),
         default=0.0,
     )
-    _, before_res = is_optimal(m, cfg.atol)
-    _, after_res = is_optimal(rect, cfg.atol)
+    _, before_res = is_optimal(m)
+    _, after_res = is_optimal(rect)
     worst = max(worst, abs(before_res - after_res))
     before = ent.re_functor(m)
     after = ent.re_functor(rect)
@@ -361,7 +361,7 @@ def _law_pair_rectification(rng, cfg) -> TrialOutcome:
         worst = max(
             worst,
             max(
-                (v.residual for v in validate_morphism(m, cfg.atol).violations),
+                (v.residual for v in validate_morphism(m).violations),
                 default=0.0,
             ),
         )
@@ -371,7 +371,7 @@ def _law_pair_rectification(rng, cfg) -> TrialOutcome:
 def _law_composition_closure(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
     comp = compose_morphisms(inner, outer)
-    rep = validate_morphism(comp, cfg.atol)
+    rep = validate_morphism(comp)
     worst = max((v.residual for v in rep.violations), default=0.0)
     return TrialOutcome(defect=worst)
 
@@ -380,7 +380,7 @@ def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
     r = rectify_pair(inner, outer)
     g, f = r.morphisms
-    alphas = extract_alphas(f, cfg.atol)
+    alphas = extract_alphas(f)
     mid = cpu_pushforward_state(g.source.state, g.cpu)
     back = cpu_pushforward_state(
         g.source.state, compose_morphisms(g, f).cpu
@@ -405,7 +405,7 @@ def _law_extract_build_roundtrip(rng, cfg) -> TrialOutcome:
     xi = gen_state(alg, cfg, rng, faithful=True)
     alphas = gen_alpha_family(rng, hom.mult)
     m = build_hypothesis_from_alphas(hom, xi, alphas)
-    back = extract_alphas(m, cfg.atol)
+    back = extract_alphas(m)
     worst = 0.0
     for y, row in enumerate(alphas.blocks):
         for x, a in enumerate(row):
@@ -417,10 +417,10 @@ def _law_extract_build_roundtrip(rng, cfg) -> TrialOutcome:
 
 def _law_disintegration_success(rng, cfg) -> TrialOutcome:
     m = gen_optimal_morphism(cfg, rng)
-    result = construct_optimal_hypothesis(m.hom, m.target.state, cfg.atol)
+    result = construct_optimal_hypothesis(m.hom, m.target.state)
     if isinstance(result, NoDisintegration):
         return TrialOutcome(defect=1.0)
-    flag, residual = is_optimal(result, cfg.atol)
+    flag, residual = is_optimal(result)
     value = ent.re_functor(result)
     return TrialOutcome(defect=max(residual, abs(value)))
 

@@ -30,6 +30,7 @@ from .algebra import (
     State,
     ValidationReport,
     Violation,
+    direct_sum_algebras,
     partial_trace_left,
 )
 from .errors import (
@@ -186,10 +187,11 @@ def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
     """Composite outer after inner, again in multiplicity/conjugator form.
 
     Multiplicities multiply as integer matrices.  The composite conjugator per
-    target block is U_x @ W_x @ P_x, with W_x the standard-form expansion of
-    the inner conjugators and P_x the permutation regrouping the nested copy
-    labels (source-block y of the middle algebra, copy within outer, copy
-    within inner) into the lexicographic standard order of the composite.
+    target block is U_x @ W_x with its columns permuted, W_x the standard-form
+    expansion of the inner conjugators.  A column of W_x sits at the nested
+    label (middle block y, copy within outer, source block z, copy within
+    inner, internal index j); the composite's standard order sorts the labels
+    by z first, then y, the two copy indices and j.
     """
     if inner.target != outer.source:
         raise AlgebraMismatchError("inner target does not match outer source")
@@ -197,47 +199,22 @@ def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
     n_dims = inner.target.block_dims
     c_in = inner.mult_array  # (z, y)
     c_out = outer.mult_array  # (y, x)
-    c_tot = c_in @ c_out  # (z, x)
-    u = len(o_dims)
-    t = len(n_dims)
 
     conjugators = []
-    for x, m in enumerate(outer.target.block_dims):
+    for x in range(outer.target.num_blocks):
         w = _standard_block(inner.conjugators, n_dims, c_out[:, x])
-        # inner segment offsets within each middle block y
-        off_out = [0] * t
-        acc = 0
-        for y in range(t):
-            off_out[y] = acc
-            acc += c_out[y, x] * n_dims[y]
-        off_in = [[0] * u for _ in range(t)]
-        for y in range(t):
-            acc = 0
-            for z in range(u):
-                off_in[y][z] = acc
-                acc += c_in[z, y] * o_dims[z]
-        perm = np.empty(m, dtype=int)
-        pos = 0
-        for z in range(u):
-            for y in range(t):
-                for k_out in range(c_out[y, x]):
-                    for k_in in range(c_in[z, y]):
-                        base = (
-                            off_out[y]
-                            + k_out * n_dims[y]
-                            + off_in[y][z]
-                            + k_in * o_dims[z]
-                        )
-                        for j in range(o_dims[z]):
-                            perm[pos] = base + j
-                            pos += 1
-        if pos != m:
-            raise ShapeError("composite index enumeration does not fill the block")
-        p = np.zeros((m, m), dtype=np.complex128)
-        p[perm, np.arange(m)] = 1.0
-        conjugators.append(outer.conjugators[x] @ w @ p)
+        labels = [
+            (z, y, k_out, k_in, j)
+            for y, n in enumerate(n_dims)
+            for k_out in range(c_out[y, x])
+            for z, o in enumerate(o_dims)
+            for k_in in range(c_in[z, y])
+            for j in range(o)
+        ]
+        perm = sorted(range(len(labels)), key=labels.__getitem__)
+        conjugators.append((outer.conjugators[x] @ w)[:, perm])
 
-    mult = tuple(tuple(int(c) for c in row) for row in c_tot)
+    mult = tuple(tuple(int(c) for c in row) for row in c_in @ c_out)
     return StarHom(inner.source, outer.target, mult, tuple(conjugators))
 
 
@@ -325,7 +302,7 @@ def hom_to_raw(f: StarHom) -> RawLinearMap:
     return RawLinearMap(f.source, f.target, np.column_stack(cols))
 
 
-def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
+def hom_from_raw(raw: RawLinearMap) -> StarHom:
     """Recover multiplicities and conjugators from a raw unital *-homomorphism.
 
     Verifies the homomorphism axioms on the matrix-unit basis first, then reads
@@ -334,6 +311,8 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
     first matrix unit of each source block.  The unit images are the columns
     of the raw matrix, stacked per target block; multiplicativity is checked
     one left unit at a time, with one batched product per target block.
+    The axioms and the integrality of the multiplicities are checked at
+    DEFAULT_ATOL, the reconstruction from the assembled conjugators at 1e-7.
     """
     src, tgt = raw.source, raw.target
     n_dims = src.block_dims
@@ -348,7 +327,7 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
         row += m * m
 
     unital_defect = raw.apply(src.identity()).distance(tgt.identity())
-    if unital_defect > atol:
+    if unital_defect > DEFAULT_ATOL:
         raise NotAHomomorphismError("unital", unital_defect)
 
     swap = np.concatenate([idx.T.reshape(-1) for idx in units])  # E_ij -> E_ji
@@ -357,7 +336,7 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
         for st in stacks
     )
     adj_defect = float(np.sqrt(np.max(sq)))
-    if adj_defect > atol:
+    if adj_defect > DEFAULT_ATOL:
         raise NotAHomomorphismError("adjoint", adj_defect)
 
     mult_defect = 0.0
@@ -370,7 +349,7 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
                     d[idx[:, j]] -= st[idx[:, i]]  # E_ij E_jl = E_il
                     sq = sq + (np.abs(d) ** 2).sum(axis=(1, 2))
                 mult_defect = max(mult_defect, float(np.sqrt(np.max(sq))))
-    if mult_defect > atol:
+    if mult_defect > DEFAULT_ATOL:
         raise NotAHomomorphismError("multiplicative", mult_defect)
 
     s = tgt.num_blocks
@@ -380,7 +359,7 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
         for x, st in enumerate(stacks):
             tr = np.trace(st[np.diagonal(units[y])].sum(axis=0)).real / n
             c = round(tr)
-            if abs(tr - c) > atol:
+            if abs(tr - c) > DEFAULT_ATOL:
                 raise NonIntegralMultiplicityError(
                     f"multiplicity of source block {y} in target block {x} "
                     f"is {tr:.6f}, not an integer within tolerance"
@@ -422,7 +401,7 @@ def hom_from_raw(raw: RawLinearMap, atol: float = DEFAULT_ATOL) -> StarHom:
     recon = float(
         np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))
     )
-    if recon > max(atol, 1e-7):
+    if recon > 1e-7:
         raise NotAHomomorphismError("reconstruction", recon)
     return result
 
@@ -599,11 +578,11 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def ad_hom(u: AlgebraElement, atol: float = UNITARY_ATOL) -> StarHom:
+def ad_hom(u: AlgebraElement) -> StarHom:
     """Conjugation by a unitary element as a homomorphism of its algebra."""
     for x, (b, d) in enumerate(zip(u.blocks, u.algebra.block_dims)):
         defect = np.linalg.norm(b.conj().T @ b - np.eye(d))
-        if defect > atol:
+        if defect > UNITARY_ATOL:
             raise np.linalg.LinAlgError(
                 f"block {x} is not unitary (defect {defect:.3e})"
             )
@@ -633,20 +612,18 @@ def hom_to_cpu(f: StarHom) -> CPUMap:
     return CPUMap(f.source, f.target, tuple(comps))
 
 
-def ad_cpu(u: AlgebraElement, atol: float = UNITARY_ATOL) -> CPUMap:
+def ad_cpu(u: AlgebraElement) -> CPUMap:
     """Conjugation by a unitary element as a CPU map of its algebra.
 
     Each diagonal component is the rank-one Choi matrix of e -> b e b^H,
     outer(v, conj(v)) with v = vec(b^T), built in closed form by hom_to_cpu;
     the off-diagonal components vanish.  ad_hom checks unitarity.
     """
-    return hom_to_cpu(ad_hom(u, atol))
+    return hom_to_cpu(ad_hom(u))
 
 
 def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
     """Block-diagonal direct sum acting on the concatenated algebras."""
-    from .algebra import direct_sum_algebras
-
     src = direct_sum_algebras(f.source, g.source)
     tgt = direct_sum_algebras(f.target, g.target)
     t1, s1 = f.source.num_blocks, f.target.num_blocks
@@ -666,8 +643,6 @@ def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
 
 
 def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:
-    from .algebra import direct_sum_algebras
-
     src = direct_sum_algebras(q.source, r.source)
     tgt = direct_sum_algebras(q.target, r.target)
     t1, s1 = q.target.num_blocks, q.source.num_blocks

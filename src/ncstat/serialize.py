@@ -31,6 +31,8 @@ def matrix_from_json(doc: dict) -> np.ndarray:
     im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
     if re.shape != im.shape or re.ndim != 2:
         raise ShapeError("re/im parts disagree or are not matrices")
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ShapeError("matrix has non-finite entries")
     return re + 1j * im
 
 

@@ -17,6 +17,7 @@ from ncstat.serialize import (
     hom_to_json,
     matrix_to_json,
     morphism_to_json,
+    read_json,
     state_to_json,
     write_json,
 )
@@ -63,6 +64,17 @@ def test_validate_flags_bad_state(workdir, tmp_path, capsys):
     assert "normalization" in capsys.readouterr().out
 
 
+def test_validate_rejects_nan_entry(tmp_path, capsys):
+    bad = state_to_json(State(AlgebraSpec((2,)), (np.eye(2) / 2,)))
+    bad["densities"][0]["re"][0][1] = math.nan
+    p = str(tmp_path / "nan.json")
+    write_json(p, bad)
+    assert main(["validate", p]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("invalid: ") and out.count("\n") == 1
+    assert "non-finite" in out
+
+
 def test_rel_entropy_finite_and_infinite(workdir, capsys):
     assert main(["rel-entropy", workdir["s1.json"], workdir["s2.json"]]) == 0
     first = capsys.readouterr().out.strip()
@@ -79,7 +91,7 @@ def test_re_command(workdir, capsys):
 def test_rectify_output(workdir, tmp_path, capsys):
     out = str(tmp_path / "rect.json")
     assert main(["rectify", workdir["m.json"], "-o", out]) == 0
-    doc = json.load(open(out))
+    doc = read_json(out)
     assert set(doc) == {"u", "morphism"}
     # rectified morphism revalidates
     p = str(tmp_path / "rect_m.json")
@@ -90,7 +102,7 @@ def test_rectify_output(workdir, tmp_path, capsys):
 def test_compose_command(workdir, tmp_path):
     out = str(tmp_path / "comp.json")
     assert main(["compose", workdir["inner.json"], workdir["outer.json"], "-o", out]) == 0
-    p = json.load(open(out))
+    p = read_json(out)
     assert "hom" in p and "cpu" in p
 
 
@@ -103,7 +115,7 @@ def test_disintegrate_success(workdir, tmp_path, capsys):
     out = str(tmp_path / "dis.json")
     assert main(["disintegrate", workdir["hom.json"], workdir["omega.json"], "-o", out]) == 0
     p = str(tmp_path / "dis_check.json")
-    write_json(p, json.load(open(out)))
+    write_json(p, read_json(out))
     assert main(["validate", p]) == 0
     assert "optimal" in capsys.readouterr().out
 
@@ -143,7 +155,7 @@ def test_chain_rule_rejects_bad_dims(workdir, capsys):
 def test_check_command(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     assert main(["check", "--trials", "3", "--seed", "5", "--json", out]) == 0
-    doc = json.load(open(out))
+    doc = read_json(out)
     assert doc["ok"] is True
     assert "all laws pass" in capsys.readouterr().out
 

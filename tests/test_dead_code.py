@@ -1,8 +1,9 @@
 """Static guards against dead code in the package, using only the stdlib ast.
 
-Every name a module imports must be used in that module, and every top-level
+Every name a module imports must be used in that module, every top-level
 private function or class must be referenced somewhere in the package outside
-its own definition.  ``__init__`` only re-exports, so its imports are exempt.
+its own definition, and every defaulted parameter must be passed by some call
+in the package.  ``__init__`` only re-exports, so its imports are exempt.
 """
 
 from __future__ import annotations
@@ -72,3 +73,79 @@ def test_every_private_definition_is_referenced():
             if not used:
                 unreferenced.append(f"{stem}.{name}")
     assert not unreferenced, f"unreferenced private definitions: {unreferenced}"
+
+
+def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, str]]:
+    """(positional index or None for keyword-only, name) of each defaulted parameter.
+
+    Positional indices count from the first argument a caller writes, so a
+    method's ``self`` is not counted.
+    """
+    positional = fn.args.posonlyargs + fn.args.args
+    if is_method and positional:
+        positional = positional[1:]
+    first = len(positional) - len(fn.args.defaults)
+    out = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+    out += [
+        (None, a.arg)
+        for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults)
+        if d is not None
+    ]
+    return out
+
+
+def _passed(call: ast.Call) -> tuple[int, set[str], bool]:
+    """Positional count, keyword names, and whether a splat may pass anything."""
+    splat = any(isinstance(a, ast.Starred) for a in call.args) or any(
+        k.arg is None for k in call.keywords
+    )
+    return len(call.args), {k.arg for k in call.keywords if k.arg}, splat
+
+
+def _definitions(tree: ast.Module):
+    """(callee name, definition, is_method) for every function in a module.
+
+    A constructor is called by its class name, so ``__init__`` is listed
+    under that name.
+    """
+    methods = {}
+    for cls in ast.walk(tree):
+        if isinstance(cls, ast.ClassDef):
+            for fn in cls.body:
+                if isinstance(fn, ast.FunctionDef):
+                    methods[id(fn)] = cls.name if fn.name == "__init__" else fn.name
+    for fn in ast.walk(tree):
+        if isinstance(fn, ast.FunctionDef):
+            yield methods.get(id(fn), fn.name), fn, id(fn) in methods
+
+
+def test_every_defaulted_parameter_is_passed():
+    """A defaulted parameter that no call in the package passes is a dead knob.
+
+    Calls are matched to definitions by name (``f(...)`` or ``obj.f(...)``);
+    the console-script entry point ``cli.main(argv)`` is the one exemption.
+    """
+    trees = {p.stem: _tree(p) for p in MODULES}
+    calls: dict[str, list[tuple[int, set[str], bool]]] = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name:
+                calls.setdefault(name, []).append(_passed(node))
+    exempt = {"cli.main(argv)"}
+    dead = []
+    for stem, tree in trees.items():
+        for name, fn, is_method in _definitions(tree):
+            for index, arg in _defaulted(fn, is_method):
+                knob = f"{stem}.{name}({arg})"
+                if knob in exempt:
+                    continue
+                if not any(
+                    splat or arg in kws or (index is not None and index < npos)
+                    for npos, kws, splat in calls.get(name, ())
+                ):
+                    dead.append(knob)
+    assert not dead, f"defaulted parameters no call passes: {dead}"

@@ -7,7 +7,13 @@ from ncstat.errors import (
     NotAHomomorphismError,
     ShapeError,
 )
-from ncstat.generators import haar_unitary
+from ncstat.generators import (
+    GeneratorConfig,
+    gen_algebra,
+    gen_star_hom,
+    haar_unitary,
+    rng_for,
+)
 from ncstat.maps import (
     CPUMap,
     RawLinearMap,
@@ -403,3 +409,56 @@ def test_pushforward_needs_matching_algebra():
     wrong = State(AlgebraSpec((3,)), (np.eye(3) / 3,))
     with pytest.raises(AlgebraMismatchError):
         pushforward_state(wrong, f)
+
+
+def _reference_composite_conjugators(outer, inner):
+    """Composite conjugators U_x W_x P_x with the permutation matrix P_x built
+    by enumerating the composite's standard order (z, y, k_out, k_in, j) and
+    locating each label by hand-built segment offsets inside W_x."""
+    o_dims = inner.source.block_dims
+    n_dims = inner.target.block_dims
+    c_in = inner.mult_array
+    c_out = outer.mult_array
+    out = []
+    for x, m in enumerate(outer.target.block_dims):
+        w = np.zeros((m, m), dtype=complex)
+        off = 0
+        for y, n in enumerate(n_dims):
+            for _ in range(c_out[y, x]):
+                w[off : off + n, off : off + n] = inner.conjugators[y]
+                off += n
+        off_out = np.concatenate(([0], np.cumsum(c_out[:, x] * n_dims)))
+        perm = []
+        for z, o in enumerate(o_dims):
+            for y, n in enumerate(n_dims):
+                off_in = np.concatenate(([0], np.cumsum(c_in[:, y] * o_dims)))
+                for k_out in range(c_out[y, x]):
+                    for k_in in range(c_in[z, y]):
+                        base = off_out[y] + k_out * n + off_in[z] + k_in * o
+                        perm.extend(range(base, base + o))
+        assert sorted(perm) == list(range(m))
+        p = np.zeros((m, m), dtype=complex)
+        p[perm, np.arange(m)] = 1.0
+        out.append(outer.conjugators[x] @ w @ p)
+    return out
+
+
+def test_compose_homs_conjugators_match_enumerated_reference():
+    # a fixed pair where both the (z, y) and the (k_out, k_in) order matter:
+    # middle block 0 holds source block 1 twice and sits twice in the top
+    # block, middle block 1 holds source blocks 0 and 1
+    rng = np.random.default_rng(3)
+    mid = AlgebraSpec((2, 2))
+    g_conj = (haar_unitary(rng, 2), haar_unitary(rng, 2))
+    g = StarHom(AlgebraSpec((1, 1)), mid, ((0, 1), (2, 1)), g_conj)
+    f = StarHom(mid, AlgebraSpec((8,)), ((2,), (2,)), (haar_unitary(rng, 8),))
+    pairs = [(f, g)]
+    cfg = GeneratorConfig(seed=101, trials=100, max_block_dim=6)
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        g = gen_star_hom(rng, gen_algebra(rng, cfg), cfg)
+        pairs.append((gen_star_hom(rng, g.target, cfg), g))
+    for f, g in pairs:
+        got = compose_homs(f, g).conjugators
+        for a, b in zip(got, _reference_composite_conjugators(f, g)):
+            assert np.array_equal(a, b)

@@ -52,6 +52,15 @@ def test_matrix_shape_mismatch_rejected():
         matrix_from_json({"re": [[1.0]], "im": [[1.0, 2.0]]})
 
 
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity"])
+def test_matrix_non_finite_rejected(text):
+    # the json module reads these spellings as float nan and +-inf
+    with pytest.raises(ShapeError, match="non-finite"):
+        matrix_from_json(json.loads(f'{{"re": [[1.0, 0.0], [0.0, {text}]]}}'))
+    with pytest.raises(ShapeError, match="non-finite"):
+        matrix_from_json(json.loads(f'{{"re": [[1.0]], "im": [[{text}]]}}'))
+
+
 def test_algebra_roundtrip():
     a = AlgebraSpec((2, 3, 1))
     assert algebra_from_json(through_json(algebra_to_json(a))) == a
