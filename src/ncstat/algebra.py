@@ -165,6 +165,7 @@ class State:
             for d, k in zip(self.densities, self.algebra.block_dims)
         )
         object.__setattr__(self, "densities", frozen)
+        object.__setattr__(self, "_supports", {})  # cutoff -> support()
 
     @cached_property
     def spectra(self) -> tuple[HermitianEigen, ...]:
@@ -177,10 +178,15 @@ class State:
         """Per block, the kept eigenvalues and eigenvectors of the density.
 
         The cutoff is relative to the largest eigenvalue of the whole state,
-        so a block carrying only noise weight has an empty support.
+        so a block carrying only noise weight has an empty support.  Cached
+        per cutoff, read-only like ``spectra``.
         """
-        top = max(e.eigenvalues[-1] for e in self.spectra)
-        return tuple(supported_spectrum(e, top, cutoff) for e in self.spectra)
+        if cutoff not in self._supports:
+            top = max(e.eigenvalues[-1] for e in self.spectra)
+            self._supports[cutoff] = tuple(
+                supported_spectrum(e, top, cutoff) for e in self.spectra
+            )
+        return self._supports[cutoff]
 
     def evaluate(self, a: AlgebraElement) -> complex:
         if a.algebra != self.algebra:
@@ -246,7 +252,10 @@ def supported_spectrum(
     when it is not positive.
     """
     keep = eig.eigenvalues > max(cutoff * top, 0.0)
-    return eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+    kept = eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+    for a in kept:
+        a.setflags(write=False)
+    return kept
 
 
 def _require_psd(eig: HermitianEigen) -> None:

@@ -233,7 +233,7 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
             c = f.hom.mult[y][x]
             if c == 0:
                 continue
-            seg = imap.extract(d, x, y, y)
+            seg = d[imap.segment(x, y, y)]
             log_alpha = hermitian_log(alphas.get(y, x))
             term_alpha += float(
                 np.trace(seg @ np.kron(log_alpha, np.eye(n))).real

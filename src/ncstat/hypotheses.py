@@ -34,10 +34,10 @@ from .maps import (
     StarHom,
     ad_cpu,
     ad_hom,
+    choi_from_function,
     compose_cpu,
     compose_homs,
     conjugate_state,
-    cpu_from_functions,
     cpu_pushforward_state,
     hom_to_cpu,
     identity_cpu,
@@ -127,6 +127,18 @@ class AlphaFamily:
 
     def get(self, y: int, x: int) -> np.ndarray | None:
         return self.blocks[y][x]
+
+    def assemble(self, hom: StarHom, densities) -> tuple[np.ndarray, ...]:
+        """Per target block x of hom, blockdiag_y(alpha_yx kron densities[y])."""
+        imap = hom.index_map
+        out = []
+        for x, m in enumerate(hom.target.block_dims):
+            d = np.zeros((m, m), dtype=np.complex128)
+            for y, row in enumerate(self.blocks):
+                if row[x] is not None:
+                    d[imap.segment(x, y, y)] = np.kron(row[x], densities[y])
+            out.append(d)
+        return tuple(out)
 
     def row_traces(self) -> np.ndarray:
         return np.array(
@@ -314,11 +326,8 @@ def _factor_block(
     alphas: dict[int, np.ndarray | None] = {}
     for y in range(t):
         for yp in range(t):
-            if mult[y][x] == 0 or mult[yp][x] == 0:
-                continue
-            seg = imap.extract(density, x, y, yp)
-            if y != yp:
-                off = np.linalg.norm(seg)
+            if y != yp and mult[y][x] and mult[yp][x]:
+                off = np.linalg.norm(density[imap.segment(x, y, yp)])
                 sq_residual += off**2
                 if off > atol:
                     ok = False
@@ -327,7 +336,7 @@ def _factor_block(
         if c == 0:
             continue
         n = refs[y].shape[0]
-        seg = imap.extract(density, x, y, y)
+        seg = density[imap.segment(x, y, y)]
         ref = refs[y]
         q = np.trace(ref).real
         if q <= atol:
@@ -364,32 +373,23 @@ def _factor_state(
     already be in the standard frame; the conjugators are ignored.
     """
     imap = hom.index_map
-    t = hom.source.num_blocks
-    s_blocks = hom.target.num_blocks
     per_block: list[dict[int, np.ndarray | None]] = []
     sq_residual = 0.0
     ok = True
-    for x in range(s_blocks):
-        a, sq, good = _factor_block(s.densities[x], x, imap, hom.mult, refs, atol)
+    for x, d in enumerate(s.densities):
+        a, sq, good = _factor_block(d, x, imap, hom.mult, refs, atol)
         per_block.append(a)
         sq_residual += sq
         ok = ok and good
-    # assemble the family; unconstrained rows get the uniform choice
-    rows = []
-    for y in range(t):
-        row: list[np.ndarray | None] = []
-        kappa = sum(hom.mult[y][x] for x in range(s_blocks))
-        for x in range(s_blocks):
-            c = hom.mult[y][x]
-            if c == 0:
-                row.append(None)
-                continue
-            a = per_block[x].get(y)
-            if a is None:
-                a = np.eye(c) / kappa if kappa else np.eye(c)
-            row.append(a)
-        rows.append(tuple(row))
-    family = AlphaFamily(hom.mult, tuple(rows))
+    # assemble the family; unconstrained entries get the uniform choice
+    rows = tuple(
+        tuple(
+            np.eye(c) / sum(mrow) if c and col.get(y) is None else col.get(y)
+            for c, col in zip(mrow, per_block)
+        )
+        for y, mrow in enumerate(hom.mult)
+    )
+    family = AlphaFamily(hom.mult, rows)
     return family, float(np.sqrt(sq_residual)), ok
 
 
@@ -432,11 +432,12 @@ def build_hypothesis_from_alphas(
     """Assemble the disintegration-form hypothesis for a homomorphism.
 
     In the standard frame, the CPU component into source block y from target
-    block x compresses to the (y, y) diagonal segment, weights by alpha_yx on
-    the copy factor, and takes the partial trace over the copies.  The
-    conjugators U of the homomorphism are then folded in once, by composing
-    with conjugation by U^H, so the section axiom holds for hom itself; a hom
-    whose conjugators are exactly the identity skips that step.  When
+    block x compresses to the (y, y) diagonal segment S, weights by alpha_yx on
+    the copy factor, and takes the partial trace over the copies; its Choi
+    matrix C_S is built on S alone and, when every conjugator is exactly the
+    identity, placed at the rows and columns of S.  Otherwise the conjugators U
+    are folded in as (conj(U_S) kron 1) C_S (conj(U_S) kron 1)^H, U_S = U_x[:, S],
+    so the section axiom holds for hom itself.  When
     no target state is given, the one that makes the morphism optimal is used:
     per target block, U_x (direct sum over y of alpha_yx kron (source density
     y)) U_x^H.  A supplied target state must still push forward to the source
@@ -451,41 +452,38 @@ def build_hypothesis_from_alphas(
         raise ValueError(f"invalid alpha family: {rep.describe()}")
 
     imap = hom.index_map
-    dims_src = hom.source.block_dims
-    dims_tgt = hom.target.block_dims
-
-    def component(y: int, x: int, a: np.ndarray) -> np.ndarray:
-        c = hom.mult[y][x]
-        n = dims_src[y]
-        if c == 0:
-            return np.zeros((n, n), dtype=np.complex128)
-        rows, cols = imap.segment(x, y, y)
-        seg = a[rows, cols].reshape(c, n, c, n)
-        alpha = alphas.get(y, x)
-        return np.einsum("kl,ljkJ->jJ", alpha, seg)
-
-    cpu = cpu_from_functions(hom.target, hom.source, component)
-    # identity conjugators are skipped: composing with ad(1) is exact but
-    # regroups a side^4-entry Choi matrix per target block
     standard = hom.is_standard(atol=0.0)
-    if not standard:
-        u = AlgebraElement(hom.target, hom.conjugators)
-        cpu = compose_cpu(cpu, ad_cpu(u.adjoint()))
+
+    def component(y: int, x: int) -> np.ndarray:
+        c, n, m = hom.mult[y][x], hom.source.block_dims[y], hom.target.block_dims[x]
+        if c == 0:
+            return np.zeros((m * n, m * n), dtype=np.complex128)
+        alpha, s, lo = alphas.get(y, x), c * n, imap.offset(x, y)
+        choi = choi_from_function(
+            lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), s, n
+        )
+        if standard:
+            out = np.zeros((m * n, m * n), dtype=np.complex128)
+            # the input index is major, so S spans rows and columns lo*n..(lo+s)*n
+            out[lo * n : (lo + s) * n, lo * n : (lo + s) * n] = choi
+            return out
+        ub = hom.conjugators[x][:, lo : lo + s].conj()
+        # conj(U_S) on the rows' input index, then on the columns' through ^H
+        half = (ub @ choi.reshape(s, n * s * n)).reshape(m * n, s * n)
+        full = ub @ half.conj().T.reshape(s, n * m * n)
+        return full.reshape(m * n, m * n).conj().T
+
+    grid = [
+        [component(y, x) for x in range(hom.target.num_blocks)]
+        for y in range(hom.source.num_blocks)
+    ]
+    cpu = CPUMap(hom.target, hom.source, grid)
 
     if target_state is None:
-        densities = []
-        for x, (m, b) in enumerate(zip(dims_tgt, hom.conjugators)):
-            d = np.zeros((m, m), dtype=np.complex128)
-            for y, n in enumerate(dims_src):
-                c = hom.mult[y][x]
-                if c == 0:
-                    continue
-                rows, cols = imap.segment(x, y, y)
-                d[rows, cols] = np.kron(
-                    alphas.get(y, x), source_state.densities[y]
-                )
-            densities.append(d if standard else b @ d @ b.conj().T)
-        target_state = State(hom.target, tuple(densities))
+        densities = alphas.assemble(hom, source_state.densities)
+        if not standard:
+            densities = [b @ d @ b.conj().T for d, b in zip(densities, hom.conjugators)]
+        target_state = State(hom.target, densities)
 
     return NCMorphism(
         source=NCObject.from_state(source_state),

@@ -385,17 +385,10 @@ def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:
     back = cpu_pushforward_state(
         g.source.state, compose_morphisms(g, f).cpu
     )
-    imap = f.hom.index_map
-    worst = 0.0
-    for x, m in enumerate(f.hom.target.block_dims):
-        assembled = np.zeros((m, m), dtype=np.complex128)
-        for y in range(f.hom.source.num_blocks):
-            c = f.hom.mult[y][x]
-            if c == 0:
-                continue
-            rows, cols = imap.segment(x, y, y)
-            assembled[rows, cols] = np.kron(alphas.get(y, x), mid.densities[y])
-        worst = max(worst, float(np.linalg.norm(assembled - back.densities[x])))
+    assembled = alphas.assemble(f.hom, mid.densities)
+    worst = max(
+        float(np.linalg.norm(a - b)) for a, b in zip(assembled, back.densities)
+    )
     return TrialOutcome(defect=worst)
 
 

@@ -68,10 +68,6 @@ class BlockIndexMap:
             slice(cy, cy + self.mult[yp][x] * self.source_dims[yp]),
         )
 
-    def extract(self, block: np.ndarray, x: int, y: int, yp: int) -> np.ndarray:
-        rows, cols = self.segment(x, y, yp)
-        return block[rows, cols]
-
 
 @dataclass(frozen=True, eq=False)
 class StarHom:
@@ -236,7 +232,7 @@ def pushforward_state(s: State, f: StarHom) -> State:
         for y, n in enumerate(dims):
             c = f.mult[y][x]
             if c:
-                seg = imap.extract(dt, x, y, y)
+                seg = dt[imap.segment(x, y, y)]
                 out[y] += partial_trace_left(seg, c, n)
     return State(f.source, tuple(out))
 
@@ -436,6 +432,16 @@ def dual_apply_choi(choi: np.ndarray, e: np.ndarray, m: int, n: int) -> np.ndarr
     return np.einsum("ikjl,lk->ji", choi.reshape(m, n, m, n), e)
 
 
+def _regroup(choi: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Choi matrix of M_m -> M_n with rows (i, j) and columns (k, l)."""
+    return choi.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+
+
+def _ungroup(r: np.ndarray, m: int, n: int) -> np.ndarray:
+    """Inverse of _regroup: back to the Choi layout of M_m -> M_n."""
+    return r.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
 def compose_choi(
     inner: np.ndarray, outer: np.ndarray, m: int, n: int, o: int
 ) -> np.ndarray:
@@ -445,9 +451,7 @@ def compose_choi(
     product of inner regrouped to rows (i,j), columns (a,b) and outer regrouped
     to rows (a,b), columns (k,l); the result is regrouped back.
     """
-    a = inner.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
-    b = outer.reshape(n, o, n, o).transpose(0, 2, 1, 3).reshape(n * n, o * o)
-    return (a @ b).reshape(m, m, o, o).transpose(0, 2, 1, 3).reshape(m * o, m * o)
+    return _ungroup(_regroup(inner, m, n) @ _regroup(outer, n, o), m, o)
 
 
 @dataclass(frozen=True, eq=False)
@@ -486,21 +490,6 @@ class CPUMap:
         return self.components[y][x]
 
 
-def cpu_from_functions(
-    source: AlgebraSpec,
-    target: AlgebraSpec,
-    fn: Callable[[int, int, np.ndarray], np.ndarray],
-) -> CPUMap:
-    """Build a CPUMap from the componentwise action fn(y, x, input_matrix)."""
-    comps = []
-    for y, n in enumerate(target.block_dims):
-        row = []
-        for x, m in enumerate(source.block_dims):
-            row.append(choi_from_function(lambda e, y=y, x=x: fn(y, x, e), m, n))
-        comps.append(tuple(row))
-    return CPUMap(source, target, tuple(comps))
-
-
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
     return hom_to_cpu(identity_hom(algebra))
 
@@ -518,25 +507,37 @@ def apply_cpu(q: CPUMap, a: AlgebraElement) -> AlgebraElement:
 
 
 def compose_cpu(outer: CPUMap, inner: CPUMap) -> CPUMap:
-    """Composite outer after inner on the Choi level."""
+    """Composite outer after inner on the Choi level.
+
+    Every component is regrouped once to compose_choi's layout, the outer ones
+    a row at a time so one row's copies are held; each sum is regrouped back.
+    """
     if inner.target != outer.source:
         raise AlgebraMismatchError("inner target does not match outer source")
+    m_dims = inner.source.block_dims
+    n_dims = inner.target.block_dims
     # an all-zero component contributes nothing to any product it enters
-    inner_nz = [[c.any() for c in row] for row in inner.components]
-    outer_nz = [[c.any() for c in row] for row in outer.components]
-    comps = []
-    for z, o in enumerate(outer.target.block_dims):
-        row = []
-        for x, m in enumerate(inner.source.block_dims):
-            acc = np.zeros((m * o, m * o), dtype=np.complex128)
-            for y, n in enumerate(inner.target.block_dims):
-                if inner_nz[y][x] and outer_nz[z][y]:
-                    acc += compose_choi(
-                        inner.components[y][x], outer.components[z][y], m, n, o
-                    )
-            row.append(acc)
-        comps.append(tuple(row))
-    return CPUMap(inner.source, outer.target, tuple(comps))
+    a = [
+        [_regroup(c, m, n) if c.any() else None for c, m in zip(inner_row, m_dims)]
+        for inner_row, n in zip(inner.components, n_dims)
+    ]
+
+    def row(o: int, outer_row: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+        b = [_regroup(c, n, o) if c.any() else None for c, n in zip(outer_row, n_dims)]
+        sums = []
+        for x, m in enumerate(m_dims):
+            acc = np.zeros((m * m, o * o), dtype=np.complex128)
+            for a_row, b_y in zip(a, b):
+                if a_row[x] is not None and b_y is not None:
+                    acc += a_row[x] @ b_y
+            sums.append(_ungroup(acc, m, o))
+        return tuple(sums)
+
+    comps = tuple(
+        row(o, outer_row)
+        for o, outer_row in zip(outer.target.block_dims, outer.components)
+    )
+    return CPUMap(inner.source, outer.target, comps)
 
 
 def cpu_pushforward_state(s: State, q: CPUMap) -> State:

@@ -133,6 +133,31 @@ def test_relative_entropy_one_eigh_per_density(monkeypatch):
     assert len(calls) == 4  # the spectra are cached on the states
 
 
+def test_relative_entropy_one_support_per_block(monkeypatch):
+    # absolutely_continuous and the entropy sum read the same supports, which
+    # State.support caches per cutoff
+    import ncstat.algebra as algebra
+
+    rng = np.random.default_rng(32)
+    alg = AlgebraSpec((2, 3))
+    s1 = State(alg, (_random_density(rng, 2, 1, 0.4), _random_density(rng, 3, 2, 0.6)))
+    s2 = State(alg, (_random_density(rng, 2, 2, 0.5), _random_density(rng, 3, 3, 0.5)))
+    calls = []
+    supported_spectrum = algebra.supported_spectrum
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return supported_spectrum(*args, **kwargs)
+
+    monkeypatch.setattr(algebra, "supported_spectrum", counting)
+    first = relative_entropy(s1, s2)
+    assert math.isfinite(first)
+    assert len(calls) == 4  # one per block per state
+    assert relative_entropy(s1, s2, cutoff=1e-6) == first
+    assert len(calls) == 8  # another cutoff is another support
+    assert not s1.support()[0][0].flags.writeable
+
+
 def test_noise_block_keeps_relative_entropy_finite():
     # a block of weight 1e-17 is noise against the state's largest eigenvalue,
     # just as an eigenvalue of 1e-12 inside a block is

@@ -21,12 +21,13 @@ from ncstat.hypotheses import (
     validate_morphism,
 )
 from ncstat.maps import (
+    CPUMap,
     StarHom,
     ad_cpu,
     apply_cpu,
     apply_hom,
+    choi_from_function,
     compose_cpu,
-    cpu_from_functions,
     cpu_pushforward_state,
     strip_conjugators,
 )
@@ -44,6 +45,21 @@ from ncstat.generators import (
 )
 
 CFG = GeneratorConfig(seed=1234, trials=10)
+
+
+def cpu_from_functions(source, target, fn):
+    """CPUMap from the componentwise action fn(y, x, input), one unit at a time."""
+    return CPUMap(
+        source,
+        target,
+        tuple(
+            tuple(
+                choi_from_function(lambda e, y=y, x=x: fn(y, x, e), m, n)
+                for x, m in enumerate(source.block_dims)
+            )
+            for y, n in enumerate(target.block_dims)
+        ),
+    )
 
 
 def diag_embedding():
@@ -345,9 +361,11 @@ def test_build_folds_conjugators():
         std_cpu, std_densities = _standard_frame_reference(hom, xi, alphas)
         u = element_from_blocks(hom.target, hom.conjugators)
         ref = compose_cpu(std_cpu, ad_cpu(u.adjoint()))
+        # the builder folds U into each component instead of composing, so
+        # the two agree up to rounding
         for row, ref_row in zip(m.cpu.components, ref.components):
             for c, c_ref in zip(row, ref_row):
-                assert np.array_equal(c, c_ref)
+                assert np.max(np.abs(c - c_ref)) <= 1e-14
         for d, d_std, b in zip(m.target.state.densities, std_densities, u.blocks):
             assert np.array_equal(d, b @ d_std @ b.conj().T)
         assert m.hom is hom
@@ -373,6 +391,52 @@ def test_build_skips_identity_conjugators(monkeypatch):
         for d, d_std in zip(m.target.state.densities, std_densities):
             assert np.array_equal(d, d_std)
         assert validate_morphism(m).ok
+
+
+def test_build_evaluates_segment_units_only(monkeypatch):
+    # each nonzero component's Choi matrix is built on its diagonal segment,
+    # side c * n, from (c * n)^2 unit evaluations; a zero multiplicity makes
+    # no call.  Checked on a standard and on a Haar-conjugated hom.
+    import ncstat.hypotheses as hyp
+    import ncstat.maps as maps
+
+    k = 2
+    homs = [
+        StarHom(
+            AlgebraSpec((k, k)), AlgebraSpec((4 * k,)), ((2,), (2,)), (np.eye(4 * k),)
+        ),
+        StarHom(
+            AlgebraSpec((k, k)),
+            AlgebraSpec((4 * k, 2 * k)),
+            ((2, 0), (2, 2)),
+            (haar_unitary(np.random.default_rng(5), 4 * k), np.eye(2 * k)),
+        ),
+    ]
+    for hom in homs:
+        calls = []
+
+        def spy(fn, m, n):
+            def counted(e):
+                calls[-1][2] += 1
+                return fn(e)
+
+            calls.append([m, n, 0])
+            return choi_from_function(counted, m, n)
+
+        monkeypatch.setattr(maps, "choi_from_function", spy)
+        monkeypatch.setattr(hyp, "choi_from_function", spy)
+        xi = gen_state(hom.source, CFG, np.random.default_rng(6), faithful=True)
+        alphas = gen_alpha_family(np.random.default_rng(7), hom.mult)
+        m = build_hypothesis_from_alphas(hom, xi, alphas)
+        expected = [
+            [c * n, n, (c * n) ** 2]
+            for c_row, n in zip(hom.mult, hom.source.block_dims)
+            for c in c_row
+            if c
+        ]
+        assert sorted(calls) == sorted(expected)
+        assert validate_morphism(m).ok
+        assert is_optimal(m)[0]
 
 
 def test_build_rejects_mismatched_alphas():

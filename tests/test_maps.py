@@ -27,7 +27,6 @@ from ncstat.maps import (
     compose_choi,
     compose_cpu,
     compose_homs,
-    cpu_from_functions,
     cpu_pushforward_state,
     dual_apply_choi,
     hom_from_raw,
@@ -40,6 +39,21 @@ from ncstat.maps import (
     validate_cpu,
     vec_element,
 )
+
+
+def cpu_from_functions(source, target, fn):
+    """CPUMap from the componentwise action fn(y, x, input), one unit at a time."""
+    return CPUMap(
+        source,
+        target,
+        tuple(
+            tuple(
+                choi_from_function(lambda e, y=y, x=x: fn(y, x, e), m, n)
+                for x, m in enumerate(source.block_dims)
+            )
+            for y, n in enumerate(target.block_dims)
+        ),
+    )
 
 
 def diag_embedding():
@@ -351,6 +365,41 @@ def test_compose_cpu_matches_pointwise():
     comp = compose_cpu(q2, q1)
     el = element_from_blocks(a, [rng.standard_normal((2, 2)), rng.standard_normal((1, 1))])
     assert apply_cpu(comp, el).distance(apply_cpu(q2, apply_cpu(q1, el))) < 1e-12
+
+
+def test_compose_cpu_sums_choi_compositions():
+    # reference: compose_choi once per (z, x, y) triple, summed over y; the
+    # regroup-once composition adds the same products in the same order
+    rng = np.random.default_rng(44)
+    a, b, c = AlgebraSpec((2, 3)), AlgebraSpec((3, 1, 2)), AlgebraSpec((2, 2))
+
+    def random_cpu(src, tgt, zero):
+        return CPUMap(
+            src,
+            tgt,
+            tuple(
+                tuple(
+                    np.zeros((m * n, m * n))
+                    if (y, x) == zero
+                    else rng.standard_normal((m * n, m * n))
+                    + 1j * rng.standard_normal((m * n, m * n))
+                    for x, m in enumerate(src.block_dims)
+                )
+                for y, n in enumerate(tgt.block_dims)
+            ),
+        )
+
+    inner, outer = random_cpu(a, b, (1, 0)), random_cpu(b, c, (0, 2))
+    comp = compose_cpu(outer, inner)
+    for z, o in enumerate(c.block_dims):
+        for x, m in enumerate(a.block_dims):
+            ref = np.zeros((m * o, m * o), dtype=complex)
+            for y, n in enumerate(b.block_dims):
+                if inner.component(y, x).any() and outer.component(z, y).any():
+                    ref += compose_choi(
+                        inner.component(y, x), outer.component(z, y), m, n, o
+                    )
+            assert np.array_equal(comp.component(z, x), ref)
 
 
 def test_cpu_pushforward_duality():
