@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator, Sequence
+from typing import Iterator
 
 import numpy as np
 
@@ -62,9 +62,6 @@ class AlgebraSpec:
     def identity(self) -> "AlgebraElement":
         return AlgebraElement(self, tuple(np.eye(d) for d in self.block_dims))
 
-    def zero(self) -> "AlgebraElement":
-        return AlgebraElement(self, tuple(np.zeros((d, d)) for d in self.block_dims))
-
     def matrix_units(self) -> Iterator[tuple[int, int, int, "AlgebraElement"]]:
         """Yield (block, row, col, element) for every matrix unit.
 
@@ -77,10 +74,6 @@ class AlgebraSpec:
                     blocks = [np.zeros((k, k)) for k in self.block_dims]
                     blocks[b][i, j] = 1.0
                     yield b, i, j, AlgebraElement(self, tuple(blocks))
-
-    def maximally_mixed(self) -> "State":
-        side = self.side
-        return State(self, tuple(np.eye(d) / side for d in self.block_dims))
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,9 +129,6 @@ class AlgebraElement:
 
     def distance(self, other: "AlgebraElement") -> float:
         return (self - other).norm()
-
-    def is_hermitian(self) -> bool:
-        return all(np.linalg.norm(b - b.conj().T) <= DEFAULT_ATOL for b in self.blocks)
 
 
 @dataclass(frozen=True, eq=False)
@@ -380,7 +370,3 @@ def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
 
 def direct_sum_algebras(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
     return AlgebraSpec(a.block_dims + b.block_dims)
-
-
-def element_from_blocks(algebra: AlgebraSpec, blocks: Sequence[np.ndarray]) -> AlgebraElement:
-    return AlgebraElement(algebra, tuple(blocks))

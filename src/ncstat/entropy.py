@@ -158,12 +158,6 @@ class InfiniteRegimeReport:
     re_inner: float
     re_outer: float
 
-    @property
-    def any_infinite(self) -> bool:
-        return any(
-            math.isinf(v) for v in (self.re_composite, self.re_inner, self.re_outer)
-        )
-
 
 def functoriality_defect(g: NCMorphism, f: NCMorphism) -> float | InfiniteRegimeReport:
     """Additivity defect of the relative entropy over a composable pair.
@@ -217,7 +211,6 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
     omega = f.target.state
     xi = f.source.state
     mid = cpu_pushforward_state(g.source.state, g.cpu)  # intermediate pushback
-    imap = f.hom.index_map
     dims_src = f.hom.source.block_dims
 
     s_omega = von_neumann_entropy(omega)
@@ -227,13 +220,12 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
     term_alpha = 0.0
     term_xi = 0.0
     term_mid = 0.0
-    for x in range(f.hom.target.num_blocks):
-        d = omega.densities[x]
-        for y, n in enumerate(dims_src):
+    for x, (d, segs) in enumerate(zip(omega.densities, f.hom.segments)):
+        for y, (s, n) in enumerate(zip(segs, dims_src)):
             c = f.hom.mult[y][x]
             if c == 0:
                 continue
-            seg = d[imap.segment(x, y, y)]
+            seg = d[s, s]
             log_alpha = hermitian_log(alphas.get(y, x))
             term_alpha += float(
                 np.trace(seg @ np.kron(log_alpha, np.eye(n))).real

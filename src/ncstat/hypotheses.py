@@ -130,13 +130,12 @@ class AlphaFamily:
 
     def assemble(self, hom: StarHom, densities) -> tuple[np.ndarray, ...]:
         """Per target block x of hom, blockdiag_y(alpha_yx kron densities[y])."""
-        imap = hom.index_map
         out = []
-        for x, m in enumerate(hom.target.block_dims):
+        for x, (m, segs) in enumerate(zip(hom.target.block_dims, hom.segments)):
             d = np.zeros((m, m), dtype=np.complex128)
-            for y, row in enumerate(self.blocks):
+            for y, (row, s) in enumerate(zip(self.blocks, segs)):
                 if row[x] is not None:
-                    d[imap.segment(x, y, y)] = np.kron(row[x], densities[y])
+                    d[s, s] = np.kron(row[x], densities[y])
             out.append(d)
         return tuple(out)
 
@@ -308,36 +307,34 @@ def compose_morphisms(g: NCMorphism, f: NCMorphism) -> NCMorphism:
 
 def _factor_block(
     density: np.ndarray,
-    x: int,
-    imap,
-    mult: tuple[tuple[int, ...], ...],
+    segs: tuple[slice, ...],
+    mult_col: tuple[int, ...],
     refs: tuple[np.ndarray, ...],
     atol: float,
 ):
     """Factor one target-block density as blockdiag_y(alpha_yx kron ref_y).
 
-    Returns (alpha column dict y -> matrix or None for unconstrained rows,
-    squared residual, ok flag).  Off-diagonal segments are compared against
-    zero at absolute atol; diagonal segments must factor within relative atol.
+    segs and mult_col are the segments and multiplicities of the target block,
+    one per source block.  Returns (alpha column dict y -> matrix or None for
+    unconstrained rows, squared residual, ok flag).  Off-diagonal segments are
+    compared against zero at absolute atol; diagonal segments must factor
+    within relative atol.
     """
-    t = len(refs)
     sq_residual = 0.0
     ok = True
     alphas: dict[int, np.ndarray | None] = {}
-    for y in range(t):
-        for yp in range(t):
-            if y != yp and mult[y][x] and mult[yp][x]:
-                off = np.linalg.norm(density[imap.segment(x, y, yp)])
+    for y, s in enumerate(segs):
+        for yp, sp in enumerate(segs):
+            if y != yp:
+                off = np.linalg.norm(density[s, sp])
                 sq_residual += off**2
                 if off > atol:
                     ok = False
-    for y in range(t):
-        c = mult[y][x]
+    for y, (s, c, ref) in enumerate(zip(segs, mult_col, refs)):
         if c == 0:
             continue
-        n = refs[y].shape[0]
-        seg = density[imap.segment(x, y, y)]
-        ref = refs[y]
+        n = ref.shape[0]
+        seg = density[s, s]
         q = np.trace(ref).real
         if q <= atol:
             # weightless reference: the segment must vanish with it
@@ -372,12 +369,11 @@ def _factor_state(
     Only the layout (multiplicities and block sides) is read, so s must
     already be in the standard frame; the conjugators are ignored.
     """
-    imap = hom.index_map
     per_block: list[dict[int, np.ndarray | None]] = []
     sq_residual = 0.0
     ok = True
-    for x, d in enumerate(s.densities):
-        a, sq, good = _factor_block(d, x, imap, hom.mult, refs, atol)
+    for d, segs, col in zip(s.densities, hom.segments, zip(*hom.mult)):
+        a, sq, good = _factor_block(d, segs, col, refs, atol)
         per_block.append(a)
         sq_residual += sq
         ok = ok and good
@@ -451,14 +447,13 @@ def build_hypothesis_from_alphas(
     if not rep.ok:
         raise ValueError(f"invalid alpha family: {rep.describe()}")
 
-    imap = hom.index_map
     standard = hom.is_standard(atol=0.0)
 
     def component(y: int, x: int) -> np.ndarray:
         c, n, m = hom.mult[y][x], hom.source.block_dims[y], hom.target.block_dims[x]
         if c == 0:
             return np.zeros((m * n, m * n), dtype=np.complex128)
-        alpha, s, lo = alphas.get(y, x), c * n, imap.offset(x, y)
+        alpha, s, lo = alphas.get(y, x), c * n, hom.segments[x][y].start
         choi = choi_from_function(
             lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), s, n
         )

@@ -10,15 +10,15 @@ Conventions fixed project-wide:
 - A homomorphism from blocks (n_1..n_t) to blocks (m_1..m_s) is stored as a
   nonnegative integer multiplicity matrix mult[y][x] plus one unitary per
   target block.  Inside target block x the source blocks occupy consecutive
-  diagonal segments, ordered by y; within the segment for y the copy index is
-  the outer tensor factor and the internal index the inner one, matching
-  kron(identity_c, B_y).  Unitality forces sum_y mult[y][x] * n_y == m_x
-  exactly.
+  diagonal segments, ordered by y, and StarHom.segments[x][y] is the slice of
+  the segment for y; within it the copy index is the outer tensor factor and
+  the internal index the inner one, matching kron(identity_c, B_y).
+  Unitality forces sum_y mult[y][x] * n_y == m_x exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,44 +43,22 @@ from .errors import (
 UNITARY_ATOL = 1e-8
 
 
-@dataclass(frozen=True)
-class BlockIndexMap:
-    """Row/column bookkeeping for the standard-form segments of one homomorphism.
-
-    Segment (y, y') of target block x covers the rows of source block y and the
-    columns of source block y', with shape (c_yx * n_y) x (c_y'x * n_y').
-    The diagonal segments partition [0, m_x).
-    """
-
-    source_dims: tuple[int, ...]
-    mult: tuple[tuple[int, ...], ...]
-
-    def offset(self, x: int, y: int) -> int:
-        return sum(
-            self.mult[yp][x] * self.source_dims[yp] for yp in range(y)
-        )
-
-    def segment(self, x: int, y: int, yp: int) -> tuple[slice, slice]:
-        ry = self.offset(x, y)
-        cy = self.offset(x, yp)
-        return (
-            slice(ry, ry + self.mult[y][x] * self.source_dims[y]),
-            slice(cy, cy + self.mult[yp][x] * self.source_dims[yp]),
-        )
-
-
 @dataclass(frozen=True, eq=False)
 class StarHom:
     """A unital *-homomorphism between block algebras in standard form.
 
     The action on an element B is, per target block x,
     conjugators[x] @ blockdiag_y(kron(eye(mult[y][x]), B_y)) @ conjugators[x]^H.
+    segments[x][y] is the slice of rows (and columns) of target block x that
+    holds the mult[y][x] copies of source block y; it is empty where the
+    multiplicity vanishes, and the segments of a block partition [0, m_x).
     """
 
     source: AlgebraSpec
     target: AlgebraSpec
     mult: tuple[tuple[int, ...], ...]
     conjugators: tuple[np.ndarray, ...]
+    segments: tuple[tuple[slice, ...], ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         t, s = self.source.num_blocks, self.target.num_blocks
@@ -89,15 +67,18 @@ class StarHom:
             raise ShapeError(f"multiplicity matrix must be {t}x{s}")
         if any(c < 0 for row in mult for c in row):
             raise ShapeError("multiplicities must be nonnegative")
+        segments = []
         for x, m in enumerate(self.target.block_dims):
-            got = sum(
-                mult[y][x] * n for y, n in enumerate(self.source.block_dims)
-            )
-            if got != m:
+            row, off = [], 0
+            for y, n in enumerate(self.source.block_dims):
+                row.append(slice(off, off + mult[y][x] * n))
+                off += mult[y][x] * n
+            if off != m:
                 raise ShapeError(
                     f"unitality fails at target block {x}: "
-                    f"sum of mult * source dims is {got}, block dim is {m}"
+                    f"sum of mult * source dims is {off}, block dim is {m}"
                 )
+            segments.append(tuple(row))
         if len(self.conjugators) != s:
             raise ShapeError(f"expected {s} conjugators, got {len(self.conjugators)}")
         conj = []
@@ -114,10 +95,7 @@ class StarHom:
             conj.append(u)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "conjugators", tuple(conj))
-
-    @property
-    def index_map(self) -> BlockIndexMap:
-        return BlockIndexMap(self.source.block_dims, self.mult)
+        object.__setattr__(self, "segments", tuple(segments))
 
     @property
     def mult_array(self) -> np.ndarray:
@@ -132,17 +110,15 @@ class StarHom:
 
 
 def _standard_block(
-    source_blocks: Sequence[np.ndarray],
-    source_dims: Sequence[int],
-    mult_col: Sequence[int],
+    blocks: Sequence[np.ndarray], segments: Sequence[slice]
 ) -> np.ndarray:
-    m = sum(c * n for c, n in zip(mult_col, source_dims))
+    """blockdiag_y(kron(eye(c_y), blocks[y])), the copies of y filling segments[y]."""
+    m = segments[-1].stop
     out = np.zeros((m, m), dtype=np.complex128)
-    off = 0
-    for b, c, n in zip(source_blocks, mult_col, source_dims):
-        for _ in range(c):
-            out[off : off + n, off : off + n] = b
-            off += n
+    for b, seg in zip(blocks, segments):
+        n = b.shape[0]
+        for lo in range(seg.start, seg.stop, n):
+            out[lo : lo + n, lo : lo + n] = b
     return out
 
 
@@ -151,22 +127,13 @@ def apply_hom(f: StarHom, a: AlgebraElement) -> AlgebraElement:
     if a.algebra != f.source:
         raise AlgebraMismatchError("element does not live on the source algebra")
     out = []
-    for x in range(f.target.num_blocks):
-        col = [f.mult[y][x] for y in range(f.source.num_blocks)]
-        std = _standard_block(a.blocks, f.source.block_dims, col)
-        u = f.conjugators[x]
-        out.append(u @ std @ u.conj().T)
+    for segs, u in zip(f.segments, f.conjugators):
+        out.append(u @ _standard_block(a.blocks, segs) @ u.conj().T)
     return AlgebraElement(f.target, tuple(out))
 
 
 def identity_hom(algebra: AlgebraSpec) -> StarHom:
-    s = algebra.num_blocks
-    mult = tuple(
-        tuple(1 if x == y else 0 for x in range(s)) for y in range(s)
-    )
-    return StarHom(
-        algebra, algebra, mult, tuple(np.eye(d) for d in algebra.block_dims)
-    )
+    return ad_hom(algebra.identity())
 
 
 def strip_conjugators(f: StarHom) -> StarHom:
@@ -198,7 +165,7 @@ def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
 
     conjugators = []
     for x in range(outer.target.num_blocks):
-        w = _standard_block(inner.conjugators, n_dims, c_out[:, x])
+        w = _standard_block(inner.conjugators, outer.segments[x])
         labels = [
             (z, y, k_out, k_in, j)
             for y, n in enumerate(n_dims)
@@ -223,17 +190,14 @@ def pushforward_state(s: State, f: StarHom) -> State:
     """
     if s.algebra != f.target:
         raise AlgebraMismatchError("state does not live on the target algebra")
-    imap = f.index_map
     dims = f.source.block_dims
     out = [np.zeros((n, n), dtype=np.complex128) for n in dims]
-    for x, d in enumerate(s.densities):
-        u = f.conjugators[x]
+    for x, (d, u) in enumerate(zip(s.densities, f.conjugators)):
         dt = u.conj().T @ d @ u
-        for y, n in enumerate(dims):
+        for y, (seg, n) in enumerate(zip(f.segments[x], dims)):
             c = f.mult[y][x]
             if c:
-                seg = dt[imap.segment(x, y, y)]
-                out[y] += partial_trace_left(seg, c, n)
+                out[y] += partial_trace_left(dt[seg, seg], c, n)
     return State(f.source, tuple(out))
 
 
@@ -442,18 +406,6 @@ def _ungroup(r: np.ndarray, m: int, n: int) -> np.ndarray:
     return r.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
-def compose_choi(
-    inner: np.ndarray, outer: np.ndarray, m: int, n: int, o: int
-) -> np.ndarray:
-    """Choi matrix of outer (M_n -> M_o) after inner (M_m -> M_n).
-
-    C[(i,k),(j,l)] = sum_ab inner[(i,a),(j,b)] outer[(a,k),(b,l)] is one matrix
-    product of inner regrouped to rows (i,j), columns (a,b) and outer regrouped
-    to rows (a,b), columns (k,l); the result is regrouped back.
-    """
-    return _ungroup(_regroup(inner, m, n) @ _regroup(outer, n, o), m, o)
-
-
 @dataclass(frozen=True, eq=False)
 class CPUMap:
     """A linear map between block algebras stored as one Choi matrix per block pair.
@@ -486,9 +438,6 @@ class CPUMap:
             rows.append(tuple(row))
         object.__setattr__(self, "components", tuple(rows))
 
-    def component(self, y: int, x: int) -> np.ndarray:
-        return self.components[y][x]
-
 
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
     return hom_to_cpu(identity_hom(algebra))
@@ -509,8 +458,11 @@ def apply_cpu(q: CPUMap, a: AlgebraElement) -> AlgebraElement:
 def compose_cpu(outer: CPUMap, inner: CPUMap) -> CPUMap:
     """Composite outer after inner on the Choi level.
 
-    Every component is regrouped once to compose_choi's layout, the outer ones
-    a row at a time so one row's copies are held; each sum is regrouped back.
+    C[(i,k),(j,l)] = sum_ab inner[(i,a),(j,b)] outer[(a,k),(b,l)] is one matrix
+    product of inner regrouped to rows (i,j), columns (a,b) and outer regrouped
+    to rows (a,b), columns (k,l).  Every component is regrouped once, the outer
+    ones a row at a time so one row's copies are held; each sum over the middle
+    blocks is regrouped back.
     """
     if inner.target != outer.source:
         raise AlgebraMismatchError("inner target does not match outer source")
@@ -580,13 +532,10 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
 
 
 def ad_hom(u: AlgebraElement) -> StarHom:
-    """Conjugation by a unitary element as a homomorphism of its algebra."""
-    for x, (b, d) in enumerate(zip(u.blocks, u.algebra.block_dims)):
-        defect = np.linalg.norm(b.conj().T @ b - np.eye(d))
-        if defect > UNITARY_ATOL:
-            raise np.linalg.LinAlgError(
-                f"block {x} is not unitary (defect {defect:.3e})"
-            )
+    """Conjugation by a unitary element as a homomorphism of its algebra.
+
+    The StarHom constructor checks that every block is unitary.
+    """
     s = u.algebra.num_blocks
     mult = tuple(tuple(1 if x == y else 0 for x in range(s)) for y in range(s))
     return StarHom(u.algebra, u.algebra, mult, u.blocks)
@@ -599,14 +548,12 @@ def hom_to_cpu(f: StarHom) -> CPUMap:
     of segment y and c = mult[y][x]; its Choi matrix is W W^H, of rank c, with
     W[(i,a), k] = V[a, k*n_y + i].
     """
-    imap = f.index_map
     comps = []
     for x, m in enumerate(f.target.block_dims):
         row = []
-        for y, n in enumerate(f.source.block_dims):
-            rows, _ = imap.segment(x, y, y)
+        for y, (seg, n) in enumerate(zip(f.segments[x], f.source.block_dims)):
             c = f.mult[y][x]
-            w = f.conjugators[x][:, rows].reshape(m, c, n)
+            w = f.conjugators[x][:, seg].reshape(m, c, n)
             w = w.transpose(2, 0, 1).reshape(n * m, c)
             row.append(w @ w.conj().T)
         comps.append(tuple(row))

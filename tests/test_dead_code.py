@@ -1,17 +1,22 @@
 """Static guards against dead code in the package, using only the stdlib ast.
 
 Every name a module imports must be used in that module, every top-level
-private function or class must be referenced somewhere in the package outside
-its own definition, and every defaulted parameter must be passed by some call
-in the package.  ``__init__`` only re-exports, so its imports are exempt.
+function or class that ``__init__`` does not export and every public method or
+property must be referenced somewhere in the package outside its own
+definition, and every defaulted parameter must be passed by some call in the
+package.  ``__init__`` only re-exports, so its imports are exempt, and its
+``__all__`` lists exactly what it imports.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import ncstat
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "ncstat"
 MODULES = sorted(PACKAGE.glob("*.py"))
@@ -73,6 +78,55 @@ def test_every_private_definition_is_referenced():
             if not used:
                 unreferenced.append(f"{stem}.{name}")
     assert not unreferenced, f"unreferenced private definitions: {unreferenced}"
+
+
+def _counts(node: ast.AST) -> tuple[Counter, Counter]:
+    """How often each bare name and each attribute name occurs under node."""
+    names, attrs = Counter(), Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            attrs[sub.attr] += 1
+    return names, attrs
+
+
+def test_every_public_definition_is_referenced():
+    """Unexported top-level definitions and public methods need a package caller.
+
+    A top-level function or class counts as used through a bare name or an
+    attribute (module.name); a method or property only through an attribute
+    (x.name).  References inside the definition itself do not count.
+    """
+    trees = {p.stem: _tree(p) for p in MODULES}
+    exported = _imported(trees["__init__"])
+    names, attrs = Counter(), Counter()
+    for tree in trees.values():
+        n, a = _counts(tree)
+        names += n
+        attrs += a
+    unreferenced = []
+    for stem, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if not node.name.startswith("_") and node.name not in exported:
+                own_names, own_attrs = _counts(node)
+                uses = names[node.name] + attrs[node.name]
+                if uses - own_names[node.name] - own_attrs[node.name] <= 0:
+                    unreferenced.append(f"{stem}.{node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for fn in node.body:
+                if isinstance(fn, ast.FunctionDef) and not fn.name.startswith("_"):
+                    if attrs[fn.name] - _counts(fn)[1][fn.name] <= 0:
+                        unreferenced.append(f"{stem}.{node.name}.{fn.name}")
+    assert not unreferenced, f"unreferenced public definitions: {unreferenced}"
+
+
+def test_all_lists_exactly_the_imports():
+    init = _tree(PACKAGE / "__init__.py")
+    assert sorted(ncstat.__all__) == sorted(_imported(init))
 
 
 def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, str]]:

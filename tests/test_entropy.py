@@ -269,7 +269,6 @@ def test_functoriality_infinite_regime_reported():
     inner = identity_morphism(outer.source)
     result = functoriality_defect(inner, outer)
     assert isinstance(result, InfiniteRegimeReport)
-    assert result.any_infinite
     assert math.isinf(result.re_outer) and result.re_inner == 0.0
 
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraSpec, State, element_from_blocks, state_distance
+from ncstat.algebra import AlgebraElement, AlgebraSpec, State, state_distance
 from ncstat.errors import FactorizationError, ObjectMismatchError, ShapeError
 from ncstat.hypotheses import (
     AlphaFamily,
@@ -224,8 +224,8 @@ def test_section_defect_matches_unit_loop():
     assert _reference_section_defect(m) < 1e-12
     assert _section_report(m) == 0.0
     rng = np.random.default_rng(78)
-    w = element_from_blocks(
-        m.target.algebra, [haar_unitary(rng, d) for d in m.target.algebra.block_dims]
+    w = AlgebraElement(
+        m.target.algebra, tuple(haar_unitary(rng, d) for d in m.target.algebra.block_dims)
     )
     bad = NCMorphism(m.source, m.target, m.hom, compose_cpu(m.cpu, ad_cpu(w)))
     ref = _reference_section_defect(bad)
@@ -359,7 +359,7 @@ def test_build_folds_conjugators():
         m = build_hypothesis_from_alphas(hom, xi, alphas)
         # reference: build in the standard frame, then conjugate by U^H
         std_cpu, std_densities = _standard_frame_reference(hom, xi, alphas)
-        u = element_from_blocks(hom.target, hom.conjugators)
+        u = AlgebraElement(hom.target, hom.conjugators)
         ref = compose_cpu(std_cpu, ad_cpu(u.adjoint()))
         # the builder folds U into each component instead of composing, so
         # the two agree up to rounding

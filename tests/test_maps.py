@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraSpec, State, element_from_blocks, state_distance
+from ncstat.algebra import AlgebraElement, AlgebraSpec, State, state_distance
 from ncstat.errors import (
     AlgebraMismatchError,
     NotAHomomorphismError,
@@ -24,7 +24,6 @@ from ncstat.maps import (
     apply_cpu,
     apply_hom,
     choi_from_function,
-    compose_choi,
     compose_cpu,
     compose_homs,
     cpu_pushforward_state,
@@ -72,6 +71,33 @@ def test_hom_rejects_broken_unitality():
         StarHom(src, tgt, ((1,), (-1,)), (np.eye(2),))
 
 
+def test_segments_partition_each_target_block():
+    # the fixed hom has zero multiplicities, so some segments are empty
+    homs = [
+        StarHom(
+            AlgebraSpec((2, 1, 3)),
+            AlgebraSpec((5, 9, 8)),
+            ((2, 0, 1), (1, 3, 0), (0, 2, 2)),
+            (np.eye(5), np.eye(9), np.eye(8)),
+        )
+    ]
+    cfg = GeneratorConfig(seed=7, trials=100, max_blocks=4, max_block_dim=6)
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        homs.append(gen_star_hom(rng, gen_algebra(rng, cfg), cfg))
+    for f in homs:
+        assert len(f.segments) == f.target.num_blocks
+        for x, m in enumerate(f.target.block_dims):
+            segs = f.segments[x]
+            assert len(segs) == f.source.num_blocks
+            lo = 0
+            for y, n in enumerate(f.source.block_dims):
+                hi = lo + f.mult[y][x] * n
+                assert segs[y] == slice(lo, hi)
+                lo = hi
+            assert lo == m
+
+
 def test_hom_rejects_non_unitary_conjugator():
     src = AlgebraSpec((1, 1))
     tgt = AlgebraSpec((2,))
@@ -81,7 +107,7 @@ def test_hom_rejects_non_unitary_conjugator():
 
 def test_diag_embedding_action():
     f = diag_embedding()
-    a = element_from_blocks(f.source, [np.array([[2.0]]), np.array([[-3.0]])])
+    a = AlgebraElement(f.source, (np.array([[2.0]]), np.array([[-3.0]])))
     out = apply_hom(f, a)
     assert np.allclose(out.blocks[0], np.diag([2.0, -3.0]))
 
@@ -91,7 +117,7 @@ def test_multiplicity_embedding_action():
     src = AlgebraSpec((2,))
     tgt = AlgebraSpec((4,))
     f = StarHom(src, tgt, ((2,),), (np.eye(4),))
-    a = element_from_blocks(src, [np.array([[1.0, 2.0], [3.0, 4.0]])])
+    a = AlgebraElement(src, (np.array([[1.0, 2.0], [3.0, 4.0]]),))
     out = apply_hom(f, a)
     assert np.allclose(out.blocks[0], np.kron(np.eye(2), a.blocks[0]))
 
@@ -103,12 +129,12 @@ def test_apply_hom_matches_kron_reference():
     tgt = AlgebraSpec((5, 9, 8))
     conj = tuple(haar_unitary(rng, m) for m in tgt.block_dims)
     f = StarHom(src, tgt, mult, conj)
-    a = element_from_blocks(
+    a = AlgebraElement(
         src,
-        [
+        tuple(
             rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
             for n in src.block_dims
-        ],
+        ),
     )
     out = apply_hom(f, a)
     for x, (m, u) in enumerate(zip(tgt.block_dims, conj)):
@@ -128,8 +154,8 @@ def test_hom_is_multiplicative_and_unital():
     q1 = np.linalg.qr(rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5)))[0]
     q2 = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     f = StarHom(src, tgt, ((2, 1), (1, 0)), (q1, q2))
-    a = element_from_blocks(src, [rng.standard_normal((2, 2)), rng.standard_normal((1, 1))])
-    b = element_from_blocks(src, [rng.standard_normal((2, 2)), rng.standard_normal((1, 1))])
+    a = AlgebraElement(src, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
+    b = AlgebraElement(src, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
     assert apply_hom(f, a @ b).distance(apply_hom(f, a) @ apply_hom(f, b)) < 1e-12
     assert apply_hom(f, src.identity()).distance(tgt.identity()) < 1e-12
     assert apply_hom(f, a.adjoint()).distance(apply_hom(f, a).adjoint()) < 1e-12
@@ -138,7 +164,7 @@ def test_hom_is_multiplicative_and_unital():
 def test_identity_hom_and_strip():
     alg = AlgebraSpec((2, 3))
     f = identity_hom(alg)
-    a = element_from_blocks(alg, [np.ones((2, 2)), np.ones((3, 3))])
+    a = AlgebraElement(alg, (np.ones((2, 2)), np.ones((3, 3))))
     assert apply_hom(f, a).distance(a) == 0.0
     assert strip_conjugators(f).is_standard()
 
@@ -188,7 +214,7 @@ def test_pushforward_traces_out_copies():
 def test_vec_roundtrip():
     alg = AlgebraSpec((2, 1))
     rng = np.random.default_rng(2)
-    a = element_from_blocks(alg, [rng.standard_normal((2, 2)), rng.standard_normal((1, 1))])
+    a = AlgebraElement(alg, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
     v = vec_element(a)
     assert v.shape == (alg.dim,)
     assert unvec_element(alg, v).distance(a) == 0.0
@@ -221,7 +247,9 @@ def test_choi_composition():
     for m, n, o in [(2, 3, 2), (4, 5, 3)]:
         c1 = rng.standard_normal((m * n, m * n)) + 1j * rng.standard_normal((m * n, m * n))
         c2 = rng.standard_normal((n * o, n * o)) + 1j * rng.standard_normal((n * o, n * o))
-        comp = compose_choi(c1, c2, m, n, o)
+        inner = CPUMap(AlgebraSpec((m,)), AlgebraSpec((n,)), ((c1,),))
+        outer = CPUMap(AlgebraSpec((n,)), AlgebraSpec((o,)), ((c2,),))
+        comp = compose_cpu(outer, inner).components[0][0]
         assert comp.shape == (m * o, m * o)
         # reference: the index contraction written out
         ref = np.einsum(
@@ -239,7 +267,7 @@ def test_hom_raw_roundtrip_permutation():
     swap = RawLinearMap(alg, alg, np.array([[0.0, 1.0], [1.0, 0.0]]))
     f = hom_from_raw(swap)
     assert f.mult == ((0, 1), (1, 0))
-    a = element_from_blocks(alg, [np.array([[2.0]]), np.array([[5.0]])])
+    a = AlgebraElement(alg, (np.array([[2.0]]), np.array([[5.0]])))
     out = apply_hom(f, a)
     assert np.allclose(out.blocks[0], [[5.0]])
     assert np.allclose(out.blocks[1], [[2.0]])
@@ -325,7 +353,7 @@ def test_identity_cpu_and_validation():
     alg = AlgebraSpec((2, 1))
     q = identity_cpu(alg)
     assert validate_cpu(q).ok
-    a = element_from_blocks(alg, [np.ones((2, 2)), np.ones((1, 1))])
+    a = AlgebraElement(alg, (np.ones((2, 2)), np.ones((1, 1))))
     assert apply_cpu(q, a).distance(a) < 1e-14
 
 
@@ -363,14 +391,21 @@ def test_compose_cpu_matches_pointwise():
     q1 = cpu_from_functions(a, b, lambda y, x, e: k1(y, x, e) / 2)
     q2 = cpu_from_functions(b, c, k2)
     comp = compose_cpu(q2, q1)
-    el = element_from_blocks(a, [rng.standard_normal((2, 2)), rng.standard_normal((1, 1))])
+    el = AlgebraElement(a, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
     assert apply_cpu(comp, el).distance(apply_cpu(q2, apply_cpu(q1, el))) < 1e-12
 
 
 def test_compose_cpu_sums_choi_compositions():
-    # reference: compose_choi once per (z, x, y) triple, summed over y; the
-    # regroup-once composition adds the same products in the same order
+    # reference: one regrouped Choi product per (z, x, y) triple, regrouped
+    # back and summed over y; the regroup-once composition adds the same
+    # products in the same order
     rng = np.random.default_rng(44)
+
+    def compose_choi(c1, c2, m, n, o):
+        r1 = c1.reshape(m, n, m, n).transpose(0, 2, 1, 3).reshape(m * m, n * n)
+        r2 = c2.reshape(n, o, n, o).transpose(0, 2, 1, 3).reshape(n * n, o * o)
+        r = r1 @ r2
+        return r.reshape(m, m, o, o).transpose(0, 2, 1, 3).reshape(m * o, m * o)
     a, b, c = AlgebraSpec((2, 3)), AlgebraSpec((3, 1, 2)), AlgebraSpec((2, 2))
 
     def random_cpu(src, tgt, zero):
@@ -395,24 +430,23 @@ def test_compose_cpu_sums_choi_compositions():
         for x, m in enumerate(a.block_dims):
             ref = np.zeros((m * o, m * o), dtype=complex)
             for y, n in enumerate(b.block_dims):
-                if inner.component(y, x).any() and outer.component(z, y).any():
-                    ref += compose_choi(
-                        inner.component(y, x), outer.component(z, y), m, n, o
-                    )
-            assert np.array_equal(comp.component(z, x), ref)
+                c1, c2 = inner.components[y][x], outer.components[z][y]
+                if c1.any() and c2.any():
+                    ref += compose_choi(c1, c2, m, n, o)
+            assert np.array_equal(comp.components[z][x], ref)
 
 
 def test_cpu_pushforward_duality():
     rng = np.random.default_rng(41)
     alg = AlgebraSpec((2,))
-    u = element_from_blocks(
-        alg, [np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]]
+    u = AlgebraElement(
+        alg, (np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0],)
     )
     q = ad_cpu(u)
     d = rng.standard_normal((2, 2))
     d = d @ d.T
     s = State(alg, (d / np.trace(d),))
-    el = element_from_blocks(alg, [rng.standard_normal((2, 2))])
+    el = AlgebraElement(alg, (rng.standard_normal((2, 2)),))
     lhs = s.evaluate(apply_cpu(q, el))
     rhs = cpu_pushforward_state(s, q).evaluate(el)
     assert abs(lhs - rhs) < 1e-12
@@ -421,11 +455,11 @@ def test_cpu_pushforward_duality():
 def test_ad_unitary_pair_inverts():
     rng = np.random.default_rng(42)
     alg = AlgebraSpec((3,))
-    u = element_from_blocks(
-        alg, [np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]]
+    u = AlgebraElement(
+        alg, (np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0],)
     )
     hom, cpu = ad_hom(u), ad_cpu(u)
-    a = element_from_blocks(alg, [rng.standard_normal((3, 3))])
+    a = AlgebraElement(alg, (rng.standard_normal((3, 3)),))
     # cpu is conjugation by u as well, so composing with the hom of u-adjoint inverts
     assert apply_cpu(cpu, a).distance(apply_hom(hom, a)) < 1e-12
     assert apply_cpu(ad_cpu(u.adjoint()), apply_hom(hom, a)).distance(a) < 1e-12
@@ -434,7 +468,7 @@ def test_ad_unitary_pair_inverts():
 def test_ad_cpu_matches_choi_from_function():
     rng = np.random.default_rng(43)
     alg = AlgebraSpec((3, 2))
-    u = element_from_blocks(alg, [haar_unitary(rng, 3), haar_unitary(rng, 2)])
+    u = AlgebraElement(alg, (haar_unitary(rng, 3), haar_unitary(rng, 2)))
     q = ad_cpu(u)
     for y, n in enumerate(alg.block_dims):
         for x, m in enumerate(alg.block_dims):
@@ -443,14 +477,31 @@ def test_ad_cpu_matches_choi_from_function():
                 ref = choi_from_function(lambda e: b @ e @ b.conj().T, m, n)
             else:
                 ref = np.zeros((m * n, m * n))
-            assert np.allclose(q.component(y, x), ref, atol=1e-14)
+            assert np.allclose(q.components[y][x], ref, atol=1e-14)
 
 
 def test_ad_rejects_non_unitary():
     alg = AlgebraSpec((2,))
-    bad = element_from_blocks(alg, [np.diag([1.0, 2.0])])
-    with pytest.raises(np.linalg.LinAlgError):
+    bad = AlgebraElement(alg, (np.diag([1.0, 2.0]),))
+    with pytest.raises(ShapeError):
         ad_hom(bad)
+
+
+def test_ad_checks_unitarity_once(monkeypatch):
+    # the StarHom constructor is the one unitarity check: a norm per block
+    rng = np.random.default_rng(45)
+    alg = AlgebraSpec((3, 2, 1))
+    u = AlgebraElement(alg, tuple(haar_unitary(rng, d) for d in alg.block_dims))
+    calls = []
+    real_norm = np.linalg.norm
+
+    def counting_norm(*args, **kwargs):
+        calls.append(1)
+        return real_norm(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    ad_hom(u)
+    assert len(calls) == alg.num_blocks
 
 
 def test_pushforward_needs_matching_algebra():
