@@ -6,6 +6,9 @@ matrices, disintegration of states along homomorphisms, and the relative
 entropy as an additive invariant of hypotheses.
 """
 
+import importlib
+from typing import TYPE_CHECKING
+
 from .algebra import (
     DEFAULT_ATOL,
     DEFAULT_CUTOFF,
@@ -24,22 +27,6 @@ from .algebra import (
     support_projection,
     validate_state,
 )
-from .entropy import (
-    ChainRuleReport,
-    ExpansionCheck,
-    InfiniteRegimeReport,
-    chain_rule_report,
-    chain_rule_triple,
-    conditional_entropy,
-    convex_sum_morphisms,
-    convex_sum_objects,
-    functoriality_defect,
-    re_expansions,
-    re_functor,
-    relative_entropy,
-    tensor_inclusion_morphism,
-    von_neumann_entropy,
-)
 from .errors import (
     AlgebraMismatchError,
     FactorizationError,
@@ -47,19 +34,6 @@ from .errors import (
     NotAHomomorphismError,
     ObjectMismatchError,
     ShapeError,
-)
-from .generators import (
-    GeneratorConfig,
-    gen_algebra,
-    gen_alpha_family,
-    gen_composable_pair,
-    gen_element,
-    gen_morphism,
-    gen_optimal_morphism,
-    gen_star_hom,
-    gen_state,
-    haar_unitary,
-    rng_for,
 )
 from .hypotheses import (
     AlphaFamily,
@@ -77,7 +51,6 @@ from .hypotheses import (
     rectify_pair,
     validate_morphism,
 )
-from .laws import LawReport, LawResult, run_laws
 from .maps import (
     CPUMap,
     RawLinearMap,
@@ -98,6 +71,38 @@ from .maps import (
     strip_conjugators,
     validate_cpu,
 )
+
+if TYPE_CHECKING:
+    from .entropy import (
+        ChainRuleReport,
+        ExpansionCheck,
+        InfiniteRegimeReport,
+        chain_rule_report,
+        chain_rule_triple,
+        conditional_entropy,
+        convex_sum_morphisms,
+        convex_sum_objects,
+        functoriality_defect,
+        re_expansions,
+        re_functor,
+        relative_entropy,
+        tensor_inclusion_morphism,
+        von_neumann_entropy,
+    )
+    from .generators import (
+        GeneratorConfig,
+        gen_algebra,
+        gen_alpha_family,
+        gen_composable_pair,
+        gen_element,
+        gen_morphism,
+        gen_optimal_morphism,
+        gen_star_hom,
+        gen_state,
+        haar_unitary,
+        rng_for,
+    )
+    from .laws import LawReport, LawResult, run_laws
 
 __version__ = "0.1.0"
 
@@ -185,3 +190,57 @@ __all__ = [
     "validate_state",
     "von_neumann_entropy",
 ]
+
+# The module behind each name imported under TYPE_CHECKING above.  It is
+# imported on the first access of one of its names, so commands that never
+# touch the law suite, the generators or the entropies do not load them.
+_LAZY = {
+    name: module
+    for module, names in {
+        "entropy": (
+            "ChainRuleReport",
+            "ExpansionCheck",
+            "InfiniteRegimeReport",
+            "chain_rule_report",
+            "chain_rule_triple",
+            "conditional_entropy",
+            "convex_sum_morphisms",
+            "convex_sum_objects",
+            "functoriality_defect",
+            "re_expansions",
+            "re_functor",
+            "relative_entropy",
+            "tensor_inclusion_morphism",
+            "von_neumann_entropy",
+        ),
+        "generators": (
+            "GeneratorConfig",
+            "gen_algebra",
+            "gen_alpha_family",
+            "gen_composable_pair",
+            "gen_element",
+            "gen_morphism",
+            "gen_optimal_morphism",
+            "gen_star_hom",
+            "gen_state",
+            "haar_unitary",
+            "rng_for",
+        ),
+        "laws": ("LawReport", "LawResult", "run_laws"),
+    }.items()
+    for name in names
+}
+
+
+def __getattr__(name: str):
+    """Load a lazily exported name on first use and cache it (PEP 562).
+
+    Any other name raises AttributeError, which also lets ``from ncstat
+    import laws`` fall back to importing the submodule.
+    """
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

@@ -3,8 +3,13 @@
 Inputs are JSON files in the schema of the serialize module; commands that
 produce an object write JSON to stdout or to --output.  Exit status is 0 on
 success and 1 when a validation fails, a disintegration is obstructed, or a
-law check finds a violation.  NCSTAT_TOL overrides the default tolerance for
-commands that take one; an explicit --atol flag wins over the environment.
+law check finds a violation.  An input that cannot be read or loaded (a
+missing file, malformed JSON, non-finite entries, an unclassifiable document,
+mismatched algebras) prints one ``ncstat: error: ...`` line to stderr and
+exits 2, the code argparse uses for usage errors; ``validate`` reports a file
+it cannot load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides
+the default tolerance for commands that take one; an explicit --atol flag
+wins over the environment.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -16,9 +21,6 @@ import os
 import sys
 
 from .algebra import DEFAULT_ATOL, DEFAULT_CUTOFF, State, validate_state
-from .entropy import chain_rule_report, re_functor, relative_entropy
-from .errors import ShapeError
-from .generators import GeneratorConfig
 from .hypotheses import (
     NCMorphism,
     NoDisintegration,
@@ -28,12 +30,10 @@ from .hypotheses import (
     rectify_morphism,
     validate_morphism,
 )
-from .laws import run_laws
 from .maps import CPUMap, StarHom, validate_cpu
 from .serialize import (
     element_to_json,
     load_any,
-    matrix_from_json,
     morphism_to_json,
     read_json,
     sniff_kind,
@@ -66,7 +66,7 @@ def _format_value(v: float) -> str:
 def _cmd_validate(args) -> int:
     try:
         obj = load_any(read_json(args.file))
-    except (ShapeError, ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"invalid: {exc}")
         return 1
     if isinstance(obj, NCMorphism):
@@ -90,6 +90,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_rel_entropy(args) -> int:
+    from .entropy import relative_entropy
+
     first = load_any(read_json(args.first))
     second = load_any(read_json(args.second))
     if not isinstance(first, State) or not isinstance(second, State):
@@ -101,6 +103,8 @@ def _cmd_rel_entropy(args) -> int:
 
 
 def _cmd_re(args) -> int:
+    from .entropy import re_functor
+
     m = load_any(read_json(args.morphism))
     if not isinstance(m, NCMorphism):
         print("re expects a morphism file")
@@ -157,11 +161,13 @@ def _cmd_disintegrate(args) -> int:
 
 
 def _cmd_chain_rule(args) -> int:
+    from .entropy import chain_rule_report
+
     doc = read_json(args.density)
     if sniff_kind(doc) != "matrix":
         print("chain-rule expects a single density matrix file")
         return 1
-    rho = matrix_from_json(doc)
+    rho = load_any(doc)
     dims = tuple(int(d) for d in args.dims.split(","))
     if len(dims) != 3:
         print("--dims must name three tensor factors, e.g. 2,2,2")
@@ -191,6 +197,9 @@ def _cmd_chain_rule(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .generators import GeneratorConfig
+    from .laws import run_laws
+
     cfg = GeneratorConfig(
         seed=args.seed,
         trials=args.trials,
@@ -270,7 +279,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (OSError, ValueError) as exc:
+        # every ncstat error and json.JSONDecodeError is a ValueError, and
+        # load_any turns a malformed document into a ShapeError
+        print(f"ncstat: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

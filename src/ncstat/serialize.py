@@ -33,7 +33,9 @@ def matrix_from_json(doc: dict) -> np.ndarray:
         raise ShapeError("re/im parts disagree or are not matrices")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ShapeError("matrix has non-finite entries")
-    return re + 1j * im
+    out = re.astype(np.complex128)
+    out.imag = im  # re + 1j * im would turn a -0.0 in either part into +0.0
+    return out
 
 
 def algebra_to_json(a: AlgebraSpec) -> dict:
@@ -164,7 +166,14 @@ _LOADERS = {
 
 
 def load_any(doc: dict) -> Any:
-    return _LOADERS[sniff_kind(doc)](doc)
+    """Load a document of any kind; a malformed one raises ShapeError."""
+    kind = sniff_kind(doc)
+    try:
+        return _LOADERS[kind](doc)
+    except KeyError as exc:
+        raise ShapeError(f"{kind} document lacks the key {exc}") from exc
+    except (TypeError, IndexError, OverflowError) as exc:
+        raise ShapeError(f"malformed {kind} document: {exc}") from exc
 
 
 def read_json(path: str) -> Any:

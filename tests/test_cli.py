@@ -106,9 +106,94 @@ def test_compose_command(workdir, tmp_path):
     assert "hom" in p and "cpu" in p
 
 
-def test_compose_rejects_mismatch(workdir):
-    with pytest.raises(Exception):
-        main(["compose", workdir["m.json"], workdir["outer.json"]])
+def _one_error_line(capsys) -> str:
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ncstat: error: ")
+    assert captured.err.count("\n") == 1
+    return captured.err
+
+
+def test_compose_rejects_mismatch(workdir, capsys):
+    assert main(["compose", workdir["m.json"], workdir["outer.json"]]) == 2
+    assert "differ" in _one_error_line(capsys)
+
+
+def _bad_file(tmp_path, kind: str, matrix: bool = False) -> str:
+    """A file that no command can load: missing, NaN-valued or unclassifiable.
+
+    The NaN file holds a state, or a bare matrix if ``matrix`` is set.
+    """
+    p = str(tmp_path / f"{kind}.json")
+    if kind == "nan":
+        rho = np.eye(2) / 2
+        rho[0, 1] = math.nan
+        bad = matrix_to_json(rho) if matrix else state_to_json(
+            State(AlgebraSpec((2,)), (rho,))
+        )
+        write_json(p, bad)
+    elif kind == "unclassifiable":
+        write_json(p, {"colour": "blue"})
+    return p
+
+
+# Each command with the bad file in the first input position; the other
+# inputs are well formed.
+BAD_INPUT_COMMANDS = {
+    "rel-entropy": lambda bad, w: ["rel-entropy", bad, w["s2.json"]],
+    "re": lambda bad, w: ["re", bad],
+    "rectify": lambda bad, w: ["rectify", bad],
+    "compose": lambda bad, w: ["compose", bad, w["outer.json"]],
+    "disintegrate": lambda bad, w: ["disintegrate", bad, w["omega.json"]],
+    "chain-rule": lambda bad, w: ["chain-rule", bad, "--dims", "2,2,2"],
+}
+
+
+@pytest.mark.parametrize("kind", ["missing", "nan", "unclassifiable"])
+@pytest.mark.parametrize("command", sorted(BAD_INPUT_COMMANDS))
+def test_unloadable_input_is_one_line_and_exit_2(
+    workdir, tmp_path, capsys, command, kind
+):
+    bad = _bad_file(tmp_path, kind, matrix=command == "chain-rule")
+    argv = BAD_INPUT_COMMANDS[command](bad, workdir)
+    assert main(argv) == 2
+    message = _one_error_line(capsys)
+    expected = {
+        "missing": "No such file",
+        "nan": "non-finite",
+        "unclassifiable": "cannot classify",
+    }[kind]
+    assert expected in message
+
+
+def test_validate_missing_file_exits_2(tmp_path, capsys):
+    assert main(["validate", _bad_file(tmp_path, "missing")]) == 2
+    assert "No such file" in _one_error_line(capsys)
+
+
+def test_bad_input_in_second_position_exits_2(workdir, tmp_path, capsys):
+    assert main(["rel-entropy", workdir["s1.json"], _bad_file(tmp_path, "nan")]) == 2
+    _one_error_line(capsys)
+    assert main(["disintegrate", workdir["hom.json"], str(tmp_path / "none")]) == 2
+    _one_error_line(capsys)
+
+
+def test_malformed_document_and_dims_exit_2(workdir, tmp_path, capsys):
+    # a state whose algebra lacks "blocks", a matrix whose rows are not
+    # numbers, a file that is not JSON, and dims that are not integers
+    broken = str(tmp_path / "broken.json")
+    write_json(broken, {"algebra": {}, "densities": []})
+    assert main(["re", broken]) == 2
+    assert "lacks the key 'blocks'" in _one_error_line(capsys)
+    write_json(broken, {"re": [[{"x": 1}]]})
+    assert main(["chain-rule", broken, "--dims", "2,2,2"]) == 2
+    _one_error_line(capsys)
+    with open(broken, "w") as fh:
+        fh.write("{not json")
+    assert main(["rectify", broken]) == 2
+    _one_error_line(capsys)
+    assert main(["chain-rule", workdir["rho.json"], "--dims", "2,x,2"]) == 2
+    _one_error_line(capsys)
 
 
 def test_disintegrate_success(workdir, tmp_path, capsys):

@@ -135,3 +135,30 @@ def test_file_io(tmp_path):
     write_json(path, morphism_to_json(m))
     back = load_any(read_json(path))
     assert back.hom.mult == m.hom.mult
+
+
+def _cpu_with_entry(y):
+    doc = cpu_to_json(gen_morphism(CFG, rng_for(CFG, 3)).cpu)
+    doc["components"][0]["y"] = y
+    return doc
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"algebra": {}, "densities": []}, "lacks the key 'blocks'"),
+        ({"algebra": {"blocks": 2}, "densities": []}, "not iterable"),
+        ({"re": [[{"x": 1.0}]]}, "malformed matrix"),
+        ({"blocks": [float("inf")]}, "malformed algebra"),
+        (_cpu_with_entry(7), "index out of range"),
+    ],
+)
+def test_load_any_turns_malformed_documents_into_shape_errors(doc, message):
+    with pytest.raises(ShapeError, match=message):
+        load_any(through_json(doc))
+
+
+def test_matrix_roundtrip_keeps_signed_zeros():
+    m = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 2.0]])
+    back = matrix_from_json(through_json(matrix_to_json(m)))
+    assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
