@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -21,12 +21,11 @@ DEFAULT_ATOL = 1e-9
 DEFAULT_CUTOFF = 1e-10
 
 
-def _frozen_complex(m: object, side: int | None = None) -> np.ndarray:
+def frozen_matrix(m: object, shape: tuple[int, int], what: str) -> np.ndarray:
+    """Read-only complex128 copy of m; a ShapeError naming what on a wrong shape."""
     a = np.array(m, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ShapeError(f"expected a square matrix, got shape {a.shape}")
-    if side is not None and a.shape[0] != side:
-        raise ShapeError(f"expected side {side}, got {a.shape[0]}")
+    if a.shape != shape:
+        raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, got shape {a.shape}")
     a.setflags(write=False)
     return a
 
@@ -89,7 +88,8 @@ class AlgebraElement:
                 f"expected {self.algebra.num_blocks} blocks, got {len(self.blocks)}"
             )
         frozen = tuple(
-            _frozen_complex(b, d) for b, d in zip(self.blocks, self.algebra.block_dims)
+            frozen_matrix(b, (d, d), f"block {x}")
+            for x, (b, d) in enumerate(zip(self.blocks, self.algebra.block_dims))
         )
         object.__setattr__(self, "blocks", frozen)
 
@@ -151,8 +151,8 @@ class State:
                 f"expected {self.algebra.num_blocks} densities, got {len(self.densities)}"
             )
         frozen = tuple(
-            _frozen_complex(d, k)
-            for d, k in zip(self.densities, self.algebra.block_dims)
+            frozen_matrix(d, (k, k), f"density {x}")
+            for x, (d, k) in enumerate(zip(self.densities, self.algebra.block_dims))
         )
         object.__setattr__(self, "densities", frozen)
         object.__setattr__(self, "_supports", {})  # cutoff -> support()
@@ -335,6 +335,11 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
+    @property
+    def worst(self) -> float:
+        """The largest residual, 0.0 when valid."""
+        return max((v.residual for v in self.violations), default=0.0)
+
     def describe(self) -> str:
         if self.ok:
             if self.faithful is None:
@@ -343,29 +348,42 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def psd_violations(
+    named: Iterable[tuple[str, np.ndarray]], atol: float, kinds: tuple[str, str]
+) -> tuple[list[Violation], float]:
+    """Hermiticity and positivity violations of (where, matrix) pairs.
+
+    kinds names the two violation kinds.  Also returns the least eigenvalue
+    of the Hermitian parts over all matrices, inf when there are none.
+    """
+    herm_kind, psd_kind = kinds
+    violations = []
+    least = np.inf
+    for where, m in named:
+        herm = np.linalg.norm(m - m.conj().T)
+        if herm > atol:
+            violations.append(Violation(herm_kind, where, float(herm)))
+        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+        least = min(least, low)
+        if low < -atol:
+            violations.append(Violation(psd_kind, where, -low))
+    return violations, least
+
+
 def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
     """Check Hermiticity, positivity, and unit total trace of a state.
 
     Also reports faithfulness: every eigenvalue of every block above atol.
     """
-    violations = []
-    total = 0.0
-    min_eig = np.inf
-    for x, d in enumerate(s.densities):
-        herm = np.linalg.norm(d - d.conj().T)
-        if herm > atol:
-            violations.append(Violation("hermiticity", f"block {x}", float(herm)))
-        vals = np.linalg.eigvalsh((d + d.conj().T) / 2)
-        if vals.size:
-            min_eig = min(min_eig, float(vals[0]))
-            if vals[0] < -atol:
-                violations.append(
-                    Violation("positivity", f"block {x}", float(-vals[0]))
-                )
-        total += float(np.trace(d).real)
+    violations, least = psd_violations(
+        ((f"block {x}", d) for x, d in enumerate(s.densities)),
+        atol,
+        ("hermiticity", "positivity"),
+    )
+    total = sum(float(np.trace(d).real) for d in s.densities)
     if abs(total - 1.0) > atol:
         violations.append(Violation("normalization", "total trace", abs(total - 1.0)))
-    return ValidationReport(tuple(violations), faithful=bool(min_eig > atol))
+    return ValidationReport(tuple(violations), faithful=bool(least > atol))
 
 
 def direct_sum_algebras(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

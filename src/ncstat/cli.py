@@ -3,11 +3,12 @@
 Inputs are JSON files in the schema of the serialize module; commands that
 produce an object write JSON to stdout or to --output.  Exit status is 0 on
 success and 1 when a validation fails, a disintegration is obstructed, or a
-law check finds a violation.  An input that cannot be read or loaded (a
+law check finds a violation.  An input that cannot be read or used (a
 missing file, malformed JSON, non-finite entries, an unclassifiable document,
-mismatched algebras) prints one ``ncstat: error: ...`` line to stderr and
-exits 2, the code argparse uses for usage errors; ``validate`` reports a file
-it cannot load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides
+a document of the wrong kind, mismatched algebras) or a non-numeric
+NCSTAT_TOL prints one ``ncstat: error: ...`` line to stderr and exits 2, the
+code argparse uses for usage errors; ``validate`` reports a file it cannot
+load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides
 the default tolerance for commands that take one; an explicit --atol flag
 wins over the environment.  Each command imports only the modules it runs.
 """
@@ -20,7 +21,10 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from .algebra import DEFAULT_ATOL, DEFAULT_CUTOFF, State, validate_state
+from .errors import ShapeError
 from .hypotheses import (
     NCMorphism,
     NoDisintegration,
@@ -36,7 +40,6 @@ from .serialize import (
     load_any,
     morphism_to_json,
     read_json,
-    sniff_kind,
     write_json,
 )
 
@@ -48,7 +51,15 @@ def _env_atol() -> float:
     try:
         return float(raw)
     except ValueError:
-        raise SystemExit(f"NCSTAT_TOL is not a number: {raw!r}")
+        raise ValueError(f"NCSTAT_TOL is not a number: {raw!r}") from None
+
+
+def _load(path: str, kind: type, what: str):
+    """The object in the file at path; a ShapeError unless it is a kind."""
+    obj = load_any(read_json(path))
+    if not isinstance(obj, kind):
+        raise ShapeError(f"expected {what} in {path}, found {type(obj).__name__}")
+    return obj
 
 
 def _emit(doc: dict, output: str | None) -> None:
@@ -92,11 +103,8 @@ def _cmd_validate(args) -> int:
 def _cmd_rel_entropy(args) -> int:
     from .entropy import relative_entropy
 
-    first = load_any(read_json(args.first))
-    second = load_any(read_json(args.second))
-    if not isinstance(first, State) or not isinstance(second, State):
-        print("rel-entropy expects two state files")
-        return 1
+    first = _load(args.first, State, "a state")
+    second = _load(args.second, State, "a state")
     value = relative_entropy(first, second, args.cutoff)
     print(_format_value(value))
     return 0
@@ -105,20 +113,13 @@ def _cmd_rel_entropy(args) -> int:
 def _cmd_re(args) -> int:
     from .entropy import re_functor
 
-    m = load_any(read_json(args.morphism))
-    if not isinstance(m, NCMorphism):
-        print("re expects a morphism file")
-        return 1
+    m = _load(args.morphism, NCMorphism, "a morphism")
     print(_format_value(re_functor(m, args.cutoff)))
     return 0
 
 
 def _cmd_rectify(args) -> int:
-    m = load_any(read_json(args.morphism))
-    if not isinstance(m, NCMorphism):
-        print("rectify expects a morphism file")
-        return 1
-    result = rectify_morphism(m)
+    result = rectify_morphism(_load(args.morphism, NCMorphism, "a morphism"))
     _emit(
         {
             "u": element_to_json(result.u),
@@ -130,21 +131,15 @@ def _cmd_rectify(args) -> int:
 
 
 def _cmd_compose(args) -> int:
-    inner = load_any(read_json(args.inner))
-    outer = load_any(read_json(args.outer))
-    if not (isinstance(inner, NCMorphism) and isinstance(outer, NCMorphism)):
-        print("compose expects two morphism files (inner, then outer)")
-        return 1
+    inner = _load(args.inner, NCMorphism, "a morphism")
+    outer = _load(args.outer, NCMorphism, "a morphism")
     _emit(morphism_to_json(compose_morphisms(inner, outer)), args.output)
     return 0
 
 
 def _cmd_disintegrate(args) -> int:
-    hom = load_any(read_json(args.hom))
-    state = load_any(read_json(args.state))
-    if not (isinstance(hom, StarHom) and isinstance(state, State)):
-        print("disintegrate expects a homomorphism file and a state file")
-        return 1
+    hom = _load(args.hom, StarHom, "a homomorphism")
+    state = _load(args.state, State, "a state")
     result = construct_optimal_hypothesis(hom, state, args.atol)
     if isinstance(result, NoDisintegration):
         _emit(
@@ -163,11 +158,7 @@ def _cmd_disintegrate(args) -> int:
 def _cmd_chain_rule(args) -> int:
     from .entropy import chain_rule_report
 
-    doc = read_json(args.density)
-    if sniff_kind(doc) != "matrix":
-        print("chain-rule expects a single density matrix file")
-        return 1
-    rho = load_any(doc)
+    rho = _load(args.density, np.ndarray, "a density matrix")
     dims = tuple(int(d) for d in args.dims.split(","))
     if len(dims) != 3:
         print("--dims must name three tensor factors, e.g. 2,2,2")
@@ -278,12 +269,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.fn(args)
     except (OSError, ValueError) as exc:
-        # every ncstat error and json.JSONDecodeError is a ValueError, and
-        # load_any turns a malformed document into a ShapeError
+        # every ncstat error, json.JSONDecodeError and a non-numeric
+        # NCSTAT_TOL is a ValueError, and load_any and _load turn a malformed
+        # or wrong-kind document into a ShapeError
         print(f"ncstat: error: {exc}", file=sys.stderr)
         return 2
 

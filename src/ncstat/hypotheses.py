@@ -20,7 +20,9 @@ from .algebra import (
     State,
     ValidationReport,
     Violation,
+    frozen_matrix,
     hermitian_pinv,
+    psd_violations,
     state_distance,
 )
 from .errors import (
@@ -116,11 +118,7 @@ class AlphaFamily:
                     continue
                 if a is None:
                     raise ShapeError(f"entry ({y},{x}) missing, multiplicity {c}")
-                a = np.array(a, dtype=np.complex128)
-                if a.shape != (c, c):
-                    raise ShapeError(f"entry ({y},{x}) must be {c}x{c}, got {a.shape}")
-                a.setflags(write=False)
-                row.append(a)
+                row.append(frozen_matrix(a, (c, c), f"entry ({y},{x})"))
             rows.append(tuple(row))
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "blocks", tuple(rows))
@@ -148,29 +146,22 @@ class AlphaFamily:
         )
 
     def validate(self, atol: float = DEFAULT_ATOL) -> ValidationReport:
-        violations = []
-        min_eig = np.inf
-        for y, row in enumerate(self.blocks):
-            for x, a in enumerate(row):
-                if a is None:
-                    continue
-                herm = np.linalg.norm(a - a.conj().T)
-                if herm > atol:
-                    violations.append(
-                        Violation("hermiticity", f"alpha ({y},{x})", float(herm))
-                    )
-                vals = np.linalg.eigvalsh((a + a.conj().T) / 2)
-                min_eig = min(min_eig, float(vals[0]))
-                if vals[0] < -atol:
-                    violations.append(
-                        Violation("positivity", f"alpha ({y},{x})", float(-vals[0]))
-                    )
+        violations, least = psd_violations(
+            (
+                (f"alpha ({y},{x})", a)
+                for y, row in enumerate(self.blocks)
+                for x, a in enumerate(row)
+                if a is not None
+            ),
+            atol,
+            ("hermiticity", "positivity"),
+        )
         for y, tr in enumerate(self.row_traces()):
             if abs(tr - 1.0) > atol:
                 violations.append(
                     Violation("normalization", f"source block {y}", abs(tr - 1.0))
                 )
-        return ValidationReport(tuple(violations), faithful=bool(min_eig > atol))
+        return ValidationReport(tuple(violations), faithful=bool(least > atol))
 
 
 @dataclass(frozen=True, eq=False)

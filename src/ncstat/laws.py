@@ -140,9 +140,7 @@ class LawReport:
 
 def _law_state_validity(rng, cfg) -> TrialOutcome:
     s = gen_state(gen_algebra(rng, cfg), cfg, rng)
-    rep = validate_state(s)
-    worst = max((v.residual for v in rep.violations), default=0.0)
-    return TrialOutcome(defect=worst)
+    return TrialOutcome(defect=validate_state(s).worst)
 
 
 def _law_partial_trace(rng, cfg) -> TrialOutcome:
@@ -287,8 +285,7 @@ def _law_pushforward_definitional(rng, cfg) -> TrialOutcome:
 
 def _law_cpu_validity(rng, cfg) -> TrialOutcome:
     m = gen_morphism(cfg, rng, faithful=True)
-    rep = validate_cpu(m.cpu)
-    worst = max((v.residual for v in rep.violations), default=0.0)
+    worst = validate_cpu(m.cpu).worst
     a = gen_element(rng, m.cpu.source)
     psd = a @ a.adjoint()
     image = apply_cpu(m.cpu, psd)
@@ -310,9 +307,7 @@ def _law_cpu_dual_pairing(rng, cfg) -> TrialOutcome:
 
 def _law_morphism_validity(rng, cfg) -> TrialOutcome:
     m = gen_morphism(cfg, rng)
-    rep = validate_morphism(m)
-    worst = max((v.residual for v in rep.violations), default=0.0)
-    return TrialOutcome(defect=worst)
+    return TrialOutcome(defect=validate_morphism(m).worst)
 
 
 def _law_optimal_vanishing(rng, cfg) -> TrialOutcome:
@@ -328,10 +323,7 @@ def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
     m = gen_morphism(cfg, rng)
     r = rectify_morphism(m)
     rect = r.morphism
-    worst = max(
-        (v.residual for v in validate_morphism(rect).violations),
-        default=0.0,
-    )
+    worst = validate_morphism(rect).worst
     _, before_res = is_optimal(m)
     _, after_res = is_optimal(rect)
     worst = max(worst, abs(before_res - after_res))
@@ -358,22 +350,14 @@ def _law_pair_rectification(rng, cfg) -> TrialOutcome:
         abs(ent.re_functor(f) - ent.re_functor(outer)),
     )
     for m in (g, f):
-        worst = max(
-            worst,
-            max(
-                (v.residual for v in validate_morphism(m).violations),
-                default=0.0,
-            ),
-        )
+        worst = max(worst, validate_morphism(m).worst)
     return TrialOutcome(defect=worst)
 
 
 def _law_composition_closure(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
     comp = compose_morphisms(inner, outer)
-    rep = validate_morphism(comp)
-    worst = max((v.residual for v in rep.violations), default=0.0)
-    return TrialOutcome(defect=worst)
+    return TrialOutcome(defect=validate_morphism(comp).worst)
 
 
 def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:

@@ -31,7 +31,9 @@ from .algebra import (
     ValidationReport,
     Violation,
     direct_sum_algebras,
+    frozen_matrix,
     partial_trace_left,
+    psd_violations,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -83,15 +85,12 @@ class StarHom:
             raise ShapeError(f"expected {s} conjugators, got {len(self.conjugators)}")
         conj = []
         for x, (u, m) in enumerate(zip(self.conjugators, self.target.block_dims)):
-            u = np.array(u, dtype=np.complex128)
-            if u.shape != (m, m):
-                raise ShapeError(f"conjugator {x} must be {m}x{m}, got {u.shape}")
+            u = frozen_matrix(u, (m, m), f"conjugator {x}")
             defect = np.linalg.norm(u.conj().T @ u - np.eye(m))
             if defect > UNITARY_ATOL:
                 raise ShapeError(
                     f"conjugator {x} is not unitary (defect {defect:.3e})"
                 )
-            u.setflags(write=False)
             conj.append(u)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "conjugators", tuple(conj))
@@ -241,12 +240,8 @@ class RawLinearMap:
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=np.complex128)
-        if m.shape != (self.target.dim, self.source.dim):
-            raise ShapeError(
-                f"expected shape {(self.target.dim, self.source.dim)}, got {m.shape}"
-            )
-        m.setflags(write=False)
+        shape = (self.target.dim, self.source.dim)
+        m = frozen_matrix(self.matrix, shape, "raw matrix")
         object.__setattr__(self, "matrix", m)
 
     def apply(self, a: AlgebraElement) -> AlgebraElement:
@@ -424,19 +419,14 @@ class CPUMap:
         s = self.source.num_blocks
         if len(self.components) != t or any(len(row) != s for row in self.components):
             raise ShapeError(f"components must form a {t}x{s} grid")
-        rows = []
-        for y, n in enumerate(self.target.block_dims):
-            row = []
-            for x, m in enumerate(self.source.block_dims):
-                c = np.array(self.components[y][x], dtype=np.complex128)
-                if c.shape != (m * n, m * n):
-                    raise ShapeError(
-                        f"component ({y},{x}) must be {(m * n, m * n)}, got {c.shape}"
-                    )
-                c.setflags(write=False)
-                row.append(c)
-            rows.append(tuple(row))
-        object.__setattr__(self, "components", tuple(rows))
+        rows = tuple(
+            tuple(
+                frozen_matrix(c, (m * n, m * n), f"component ({y},{x})")
+                for x, (c, m) in enumerate(zip(row, self.source.block_dims))
+            )
+            for y, (row, n) in enumerate(zip(self.components, self.target.block_dims))
+        )
+        object.__setattr__(self, "components", rows)
 
 
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
@@ -507,20 +497,15 @@ def cpu_pushforward_state(s: State, q: CPUMap) -> State:
 
 def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
     """Check complete positivity (componentwise Choi PSD) and unitality."""
-    violations = []
-    for y, n in enumerate(q.target.block_dims):
-        for x, m in enumerate(q.source.block_dims):
-            c = q.components[y][x]
-            herm = np.linalg.norm(c - c.conj().T)
-            if herm > atol:
-                violations.append(
-                    Violation("choi-hermiticity", f"component ({y},{x})", float(herm))
-                )
-            vals = np.linalg.eigvalsh((c + c.conj().T) / 2)
-            if vals.size and vals[0] < -atol:
-                violations.append(
-                    Violation("cp", f"component ({y},{x})", float(-vals[0]))
-                )
+    violations, _ = psd_violations(
+        (
+            (f"component ({y},{x})", c)
+            for y, row in enumerate(q.components)
+            for x, c in enumerate(row)
+        ),
+        atol,
+        ("choi-hermiticity", "cp"),
+    )
     one = apply_cpu(q, q.source.identity())
     for y, n in enumerate(q.target.block_dims):
         defect = np.linalg.norm(one.blocks[y] - np.eye(n))
@@ -570,39 +555,31 @@ def ad_cpu(u: AlgebraElement) -> CPUMap:
     return hom_to_cpu(ad_hom(u))
 
 
+def _direct_sum_grid(a, b, fill) -> tuple[tuple, ...]:
+    """The block-diagonal grid [[a, fill], [fill, b]] of two rectangular grids.
+
+    fill(i, j) is the entry at row i, column j of the result off both grids.
+    """
+    t, c1, c2 = len(a), len(a[0]), len(b[0])
+    top = [(*r, *(fill(i, c1 + j) for j in range(c2))) for i, r in enumerate(a)]
+    low = [(*(fill(t + i, j) for j in range(c1)), *r) for i, r in enumerate(b)]
+    return tuple(top + low)
+
+
 def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
     """Block-diagonal direct sum acting on the concatenated algebras."""
     src = direct_sum_algebras(f.source, g.source)
     tgt = direct_sum_algebras(f.target, g.target)
-    t1, s1 = f.source.num_blocks, f.target.num_blocks
-    t2, s2 = g.source.num_blocks, g.target.num_blocks
-    mult = []
-    for y in range(t1 + t2):
-        row = []
-        for x in range(s1 + s2):
-            if y < t1 and x < s1:
-                row.append(f.mult[y][x])
-            elif y >= t1 and x >= s1:
-                row.append(g.mult[y - t1][x - s1])
-            else:
-                row.append(0)
-        mult.append(tuple(row))
-    return StarHom(src, tgt, tuple(mult), f.conjugators + g.conjugators)
+    mult = _direct_sum_grid(f.mult, g.mult, lambda y, x: 0)
+    return StarHom(src, tgt, mult, f.conjugators + g.conjugators)
 
 
 def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:
     src = direct_sum_algebras(q.source, r.source)
     tgt = direct_sum_algebras(q.target, r.target)
-    t1, s1 = q.target.num_blocks, q.source.num_blocks
-    comps = []
-    for y, n in enumerate(tgt.block_dims):
-        row = []
-        for x, m in enumerate(src.block_dims):
-            if y < t1 and x < s1:
-                row.append(q.components[y][x])
-            elif y >= t1 and x >= s1:
-                row.append(r.components[y - t1][x - s1])
-            else:
-                row.append(np.zeros((m * n, m * n), dtype=np.complex128))
-        comps.append(tuple(row))
-    return CPUMap(src, tgt, tuple(comps))
+
+    def zero(y: int, x: int) -> np.ndarray:
+        side = src.block_dims[x] * tgt.block_dims[y]
+        return np.zeros((side, side), dtype=np.complex128)
+
+    return CPUMap(src, tgt, _direct_sum_grid(q.components, r.components, zero))

@@ -107,7 +107,12 @@ def cpu_from_json(doc: dict) -> CPUMap:
         [None] * source.num_blocks for _ in range(target.num_blocks)
     ]
     for entry in doc["components"]:
-        grid[int(entry["y"])][int(entry["x"])] = matrix_from_json(entry["choi"])
+        y, x = int(entry["y"]), int(entry["x"])
+        if not (0 <= y < target.num_blocks and 0 <= x < source.num_blocks):
+            raise ShapeError(f"CPU component index out of range: y={y} x={x}")
+        if grid[y][x] is not None:
+            raise ShapeError(f"repeated CPU component y={y} x={x}")
+        grid[y][x] = matrix_from_json(entry["choi"])
     for y, row in enumerate(grid):
         for x, c in enumerate(row):
             if c is None:

@@ -120,9 +120,11 @@ def test_compose_rejects_mismatch(workdir, capsys):
 
 
 def _bad_file(tmp_path, kind: str, matrix: bool = False) -> str:
-    """A file that no command can load: missing, NaN-valued or unclassifiable.
+    """A file the command cannot use: missing, NaN-valued, unclassifiable or
+    a valid document of the wrong kind.
 
-    The NaN file holds a state, or a bare matrix if ``matrix`` is set.
+    The NaN file holds a state, or a bare matrix if ``matrix`` is set; the
+    wrong-kind file holds a bare matrix, or a state if ``matrix`` is set.
     """
     p = str(tmp_path / f"{kind}.json")
     if kind == "nan":
@@ -134,6 +136,10 @@ def _bad_file(tmp_path, kind: str, matrix: bool = False) -> str:
         write_json(p, bad)
     elif kind == "unclassifiable":
         write_json(p, {"colour": "blue"})
+    elif kind == "wrong-kind":
+        rho = np.eye(2) / 2
+        state = state_to_json(State(AlgebraSpec((2,)), (rho,)))
+        write_json(p, state if matrix else matrix_to_json(rho))
     return p
 
 
@@ -149,7 +155,7 @@ BAD_INPUT_COMMANDS = {
 }
 
 
-@pytest.mark.parametrize("kind", ["missing", "nan", "unclassifiable"])
+@pytest.mark.parametrize("kind", ["missing", "nan", "unclassifiable", "wrong-kind"])
 @pytest.mark.parametrize("command", sorted(BAD_INPUT_COMMANDS))
 def test_unloadable_input_is_one_line_and_exit_2(
     workdir, tmp_path, capsys, command, kind
@@ -162,6 +168,7 @@ def test_unloadable_input_is_one_line_and_exit_2(
         "missing": "No such file",
         "nan": "non-finite",
         "unclassifiable": "cannot classify",
+        "wrong-kind": "expected a ",
     }[kind]
     assert expected in message
 
@@ -252,6 +259,7 @@ def test_env_tolerance_override(workdir, monkeypatch, capsys):
     p = workdir["dir"] + "/loose.json"
     write_json(p, bad)
     assert main(["validate", p]) == 0
+    capsys.readouterr()
     monkeypatch.setenv("NCSTAT_TOL", "not-a-number")
-    with pytest.raises(SystemExit):
-        main(["validate", p])
+    assert main(["validate", p]) == 2
+    assert "NCSTAT_TOL is not a number" in _one_error_line(capsys)

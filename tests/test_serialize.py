@@ -143,6 +143,22 @@ def _cpu_with_entry(y):
     return doc
 
 
+def _cpu_with_last_row_at(y):
+    """A CPU document whose last target row is renumbered y."""
+    doc = cpu_to_json(gen_morphism(CFG, rng_for(CFG, 0)).cpu)
+    last = len(doc["target"]["blocks"]) - 1
+    for entry in doc["components"]:
+        if entry["y"] == last:
+            entry["y"] = y
+    return doc
+
+
+def _cpu_with_repeated_entry():
+    doc = cpu_to_json(gen_morphism(CFG, rng_for(CFG, 0)).cpu)
+    doc["components"].append(doc["components"][0])
+    return doc
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -151,6 +167,8 @@ def _cpu_with_entry(y):
         ({"re": [[{"x": 1.0}]]}, "malformed matrix"),
         ({"blocks": [float("inf")]}, "malformed algebra"),
         (_cpu_with_entry(7), "index out of range"),
+        (_cpu_with_last_row_at(-1), "index out of range"),
+        (_cpu_with_repeated_entry(), "repeated CPU component y=0 x=0"),
     ],
 )
 def test_load_any_turns_malformed_documents_into_shape_errors(doc, message):
