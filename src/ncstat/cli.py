@@ -5,12 +5,13 @@ produce an object write JSON to stdout or to --output.  Exit status is 0 on
 success and 1 when a validation fails, a disintegration is obstructed, or a
 law check finds a violation.  An input that cannot be read or used (a
 missing file, malformed JSON, non-finite entries, an unclassifiable document,
-a document of the wrong kind, mismatched algebras) or a non-numeric
-NCSTAT_TOL prints one ``ncstat: error: ...`` line to stderr and exits 2, the
-code argparse uses for usage errors; ``validate`` reports a file it cannot
-load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides
-the default tolerance for commands that take one; an explicit --atol flag
-wins over the environment.  Each command imports only the modules it runs.
+a document of the wrong kind, mismatched algebras, chain-rule --dims that are
+not three factors of the density's side) or a non-numeric NCSTAT_TOL prints
+one ``ncstat: error: ...`` line to stderr and exits 2, the code argparse uses
+for usage errors; ``validate`` reports a file it cannot load as
+``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides the default
+tolerance for commands that take one; an explicit --atol flag wins over the
+environment.  Each command imports only the modules it runs.
 """
 
 from __future__ import annotations
@@ -161,8 +162,7 @@ def _cmd_chain_rule(args) -> int:
     rho = _load(args.density, np.ndarray, "a density matrix")
     dims = tuple(int(d) for d in args.dims.split(","))
     if len(dims) != 3:
-        print("--dims must name three tensor factors, e.g. 2,2,2")
-        return 1
+        raise ShapeError("--dims must name three tensor factors, e.g. 2,2,2")
     report = chain_rule_report(rho, dims)
     da, db, _ = dims
     lhs = report.h_firsttwo_given_third

@@ -34,7 +34,7 @@ from .errors import (
 from .maps import (
     CPUMap,
     StarHom,
-    ad_cpu,
+    _fold_conjugation,
     ad_hom,
     choi_from_function,
     compose_cpu,
@@ -237,35 +237,43 @@ def identity_morphism(obj: NCObject) -> NCMorphism:
 def rectify_morphism(m: NCMorphism) -> RectificationResult:
     """Strip the conjugators off the homomorphism without changing any value.
 
-    The stripped unitary is absorbed into the CPU map and the target state, so
-    the rectified morphism has a standard-form homomorphism, the same source
-    object, and the same validity, optimality, and relative entropy.
+    The stripped unitary u is folded into the CPU map, as Q after Ad_u, and
+    into the target state, so the rectified morphism has a standard-form hom,
+    the same source object, and the same validity, optimality, and relative
+    entropy.  No Choi grid of Ad_u is built: see _fold_conjugation.
     """
     u = AlgebraElement(m.target.algebra, m.hom.conjugators)
-    hom_r = strip_conjugators(m.hom)
-    cpu_r = compose_cpu(m.cpu, ad_cpu(u))
+    folded = [
+        [_fold_conjugation(c, b.T, True) for c, b in zip(row, u.blocks)]
+        for row in m.cpu.components
+    ]
+    cpu_r = CPUMap(m.cpu.source, m.cpu.target, folded)
     target_r = NCObject.from_state(conjugate_state(m.target.state, u))
-    rectified = NCMorphism(m.source, target_r, hom_r, cpu_r)
+    rectified = NCMorphism(m.source, target_r, strip_conjugators(m.hom), cpu_r)
     return RectificationResult(u=u, morphisms=(rectified,))
 
 
 def rectify_pair(g: NCMorphism, f: NCMorphism) -> RectificationResult:
     """Rectify a composable pair so both homomorphisms are standard form.
 
-    First the inner morphism is rectified; the unitary stripped from it is
-    pushed through the outer morphism (which changes its source object to
-    match) before the outer morphism is rectified in turn.  Returns the
-    middle-algebra unitary as v and the outer-target unitary as u, with the
-    rectified pair in composition order.
+    First the inner morphism is rectified; the unitary v stripped from it is
+    pushed through the outer morphism (its CPU map becomes Ad_{v^H} after Q_f,
+    folded in like rectify_morphism's, and its source object changes to match)
+    before the outer morphism is rectified in turn.  Returns v and the
+    outer-target unitary u, with the rectified pair in composition order.
     """
     _check_composable(g, f)
     rg = rectify_morphism(g)
     v = rg.u
+    folded = [
+        [_fold_conjugation(c, b.conj().T, False) for c in row]
+        for row, b in zip(f.cpu.components, v.blocks)
+    ]
     f_mid = NCMorphism(
         source=rg.morphism.target,
         target=f.target,
         hom=compose_homs(f.hom, ad_hom(v)),
-        cpu=compose_cpu(ad_cpu(v.adjoint()), f.cpu),
+        cpu=CPUMap(f.cpu.source, f.cpu.target, folded),
     )
     rf = rectify_morphism(f_mid)
     return RectificationResult(u=rf.u, v=v, morphisms=(rg.morphism, rf.morphism))
@@ -453,11 +461,7 @@ def build_hypothesis_from_alphas(
             # the input index is major, so S spans rows and columns lo*n..(lo+s)*n
             out[lo * n : (lo + s) * n, lo * n : (lo + s) * n] = choi
             return out
-        ub = hom.conjugators[x][:, lo : lo + s].conj()
-        # conj(U_S) on the rows' input index, then on the columns' through ^H
-        half = (ub @ choi.reshape(s, n * s * n)).reshape(m * n, s * n)
-        full = ub @ half.conj().T.reshape(s, n * m * n)
-        return full.reshape(m * n, m * n).conj().T
+        return _fold_conjugation(choi, hom.conjugators[x][:, lo : lo + s].conj(), True)
 
     grid = [
         [component(y, x) for x in range(hom.target.num_blocks)]

@@ -401,6 +401,19 @@ def _ungroup(r: np.ndarray, m: int, n: int) -> np.ndarray:
     return r.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
+def _fold_conjugation(choi: np.ndarray, lft: np.ndarray, on_input: bool) -> np.ndarray:
+    """(L kron 1) C (L kron 1)^H if on_input, else (1 kron L) C (1 kron L)^H.
+
+    L, a unitary or a rectangular isometry, acts on the input (major) or on the
+    output index of the Choi matrix C, once on the rows and once, through ^H,
+    on the columns: two small matrix products.
+    """
+    for _ in range(2):
+        shape = (lft.shape[1], -1) if on_input else (-1, lft.shape[1], choi.shape[1])
+        choi = (lft @ choi.reshape(shape)).reshape(-1, choi.shape[1]).conj().T
+    return choi
+
+
 @dataclass(frozen=True, eq=False)
 class CPUMap:
     """A linear map between block algebras stored as one Choi matrix per block pair.
@@ -430,7 +443,7 @@ class CPUMap:
 
 
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
-    return hom_to_cpu(identity_hom(algebra))
+    return ad_cpu(algebra.identity())
 
 
 def apply_cpu(q: CPUMap, a: AlgebraElement) -> AlgebraElement:
@@ -550,7 +563,8 @@ def ad_cpu(u: AlgebraElement) -> CPUMap:
 
     Each diagonal component is the rank-one Choi matrix of e -> b e b^H,
     outer(v, conj(v)) with v = vec(b^T), built in closed form by hom_to_cpu;
-    the off-diagonal components vanish.  ad_hom checks unitarity.
+    the off-diagonal components vanish.  ad_hom checks unitarity.  The
+    rectifications fold their unitaries in with _fold_conjugation instead.
     """
     return hom_to_cpu(ad_hom(u))
 

@@ -241,7 +241,8 @@ def test_chain_rule_command(workdir, capsys):
 
 
 def test_chain_rule_rejects_bad_dims(workdir, capsys):
-    assert main(["chain-rule", workdir["rho.json"], "--dims", "2,2"]) == 1
+    assert main(["chain-rule", workdir["rho.json"], "--dims", "2,2"]) == 2
+    assert "three tensor factors" in _one_error_line(capsys)
 
 
 def test_check_command(tmp_path, capsys):

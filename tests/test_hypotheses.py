@@ -439,6 +439,91 @@ def test_build_evaluates_segment_units_only(monkeypatch):
         assert is_optimal(m)[0]
 
 
+def _rectification_instances():
+    """Morphisms with Haar conjugators, each with an outer morphism after it.
+
+    First the homs (k)+(k) -> (4k) with multiplicity 2 for k = 1..4, then the
+    homs of _conjugated_instances; every outer hom is drawn on the inner
+    morphism's target algebra with a Haar conjugator.
+    """
+    cfg = GeneratorConfig(seed=23, max_block_dim=4)
+    homs = [
+        StarHom(
+            AlgebraSpec((k, k)),
+            AlgebraSpec((4 * k,)),
+            ((2,), (2,)),
+            (haar_unitary(np.random.default_rng(k), 4 * k),),
+        )
+        for k in range(1, 5)
+    ]
+    homs += [hom for hom, _, _ in _conjugated_instances(8)]
+    for t, hom in enumerate(homs):
+        rng = rng_for(cfg, t)
+        xi = gen_state(hom.source, cfg, rng, faithful=True)
+        g = build_hypothesis_from_alphas(hom, xi, gen_alpha_family(rng, hom.mult))
+        wide = GeneratorConfig(seed=23, max_block_dim=2 * max(hom.target.block_dims))
+        outer = gen_star_hom(rng, hom.target, wide)
+        alphas = gen_alpha_family(rng, outer.mult)
+        yield g, build_hypothesis_from_alphas(outer, g.target.state, alphas)
+
+
+def _max_entry_gap(q: CPUMap, r: CPUMap) -> float:
+    return max(
+        float(np.max(np.abs(c - c_ref)))
+        for row, ref_row in zip(q.components, r.components)
+        for c, c_ref in zip(row, ref_row)
+    )
+
+
+def test_rectify_morphism_matches_composition_with_ad_cpu():
+    for m, _ in _rectification_instances():
+        assert not m.hom.is_standard()
+        r = rectify_morphism(m)
+        ref = compose_cpu(m.cpu, ad_cpu(r.u))
+        assert _max_entry_gap(r.morphism.cpu, ref) <= 1e-14
+        assert r.morphism.hom.is_standard(atol=0.0)
+        assert validate_morphism(r.morphism).ok
+
+
+def test_rectify_pair_middle_map_matches_composition_with_ad_cpu(monkeypatch):
+    # the middle CPU map is the outer one pushed through the inner unitary v,
+    # Ad_{v^H} after Q_f; it is the argument of the second rectify_morphism
+    import ncstat.hypotheses as hyp
+
+    rectify = hyp.rectify_morphism
+    seen = []
+
+    def spy(m):
+        seen.append(m)
+        return rectify(m)
+
+    monkeypatch.setattr(hyp, "rectify_morphism", spy)
+    for g, f in _rectification_instances():
+        seen.clear()
+        r = rectify_pair(g, f)
+        assert len(seen) == 2 and seen[0] is g
+        ref = compose_cpu(ad_cpu(r.v.adjoint()), f.cpu)
+        assert _max_entry_gap(seen[1].cpu, ref) <= 1e-14
+        assert validate_morphism(r.morphisms[1]).ok
+
+
+def test_rectifications_fold_without_ad_cpu_or_compose_cpu(monkeypatch):
+    import ncstat.hypotheses as hyp
+    import ncstat.maps as maps
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("rectification folds unitaries into the components")
+
+    assert not hasattr(hyp, "ad_cpu")
+    instances = list(_rectification_instances())
+    monkeypatch.setattr(maps, "ad_cpu", no_grid)
+    monkeypatch.setattr(maps, "compose_cpu", no_grid)
+    monkeypatch.setattr(hyp, "compose_cpu", no_grid)
+    for g, f in instances:
+        rectify_morphism(g)
+        rectify_pair(g, f)
+
+
 def test_build_rejects_mismatched_alphas():
     src = AlgebraSpec((2,))
     tgt = AlgebraSpec((4,))
