@@ -7,7 +7,8 @@ entropy as an additive invariant of hypotheses.
 """
 
 import importlib
-from typing import TYPE_CHECKING
+import types
+import typing
 
 from .algebra import (
     DEFAULT_ATOL,
@@ -72,7 +73,7 @@ from .maps import (
     validate_cpu,
 )
 
-if TYPE_CHECKING:
+if typing.TYPE_CHECKING:
     from .entropy import (
         ChainRuleReport,
         ExpansionCheck,
@@ -105,91 +106,6 @@ if TYPE_CHECKING:
     from .laws import LawReport, LawResult, run_laws
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraElement",
-    "AlgebraMismatchError",
-    "AlgebraSpec",
-    "AlphaFamily",
-    "CPUMap",
-    "ChainRuleReport",
-    "DEFAULT_ATOL",
-    "DEFAULT_CUTOFF",
-    "ExpansionCheck",
-    "FactorizationError",
-    "GeneratorConfig",
-    "InfiniteRegimeReport",
-    "LawReport",
-    "LawResult",
-    "NCMorphism",
-    "NCObject",
-    "NoDisintegration",
-    "NonIntegralMultiplicityError",
-    "NotAHomomorphismError",
-    "ObjectMismatchError",
-    "RawLinearMap",
-    "RectificationResult",
-    "ShapeError",
-    "StarHom",
-    "State",
-    "ValidationReport",
-    "Violation",
-    "absolutely_continuous",
-    "ad_cpu",
-    "ad_hom",
-    "apply_cpu",
-    "apply_hom",
-    "build_hypothesis_from_alphas",
-    "chain_rule_report",
-    "chain_rule_triple",
-    "compose_cpu",
-    "compose_homs",
-    "compose_morphisms",
-    "conditional_entropy",
-    "conjugate_state",
-    "construct_optimal_hypothesis",
-    "convex_sum_morphisms",
-    "convex_sum_objects",
-    "cpu_pushforward_state",
-    "direct_sum_algebras",
-    "extract_alphas",
-    "functoriality_defect",
-    "gen_algebra",
-    "gen_alpha_family",
-    "gen_composable_pair",
-    "gen_element",
-    "gen_morphism",
-    "gen_optimal_morphism",
-    "gen_star_hom",
-    "gen_state",
-    "haar_unitary",
-    "hermitian_exp",
-    "hermitian_log",
-    "hermitian_pinv",
-    "hom_from_raw",
-    "hom_to_raw",
-    "identity_cpu",
-    "identity_hom",
-    "identity_morphism",
-    "is_optimal",
-    "partial_trace_left",
-    "pushforward_state",
-    "re_expansions",
-    "re_functor",
-    "rectify_morphism",
-    "rectify_pair",
-    "relative_entropy",
-    "rng_for",
-    "run_laws",
-    "state_distance",
-    "strip_conjugators",
-    "support_projection",
-    "tensor_inclusion_morphism",
-    "validate_cpu",
-    "validate_morphism",
-    "validate_state",
-    "von_neumann_entropy",
-]
 
 # The module behind each name imported under TYPE_CHECKING above.  It is
 # imported on the first access of one of its names, so commands that never
@@ -230,6 +146,17 @@ _LAZY = {
     }.items()
     for name in names
 }
+
+# The eager imports above bound every other public name this module has;
+# submodules and the stdlib modules imported here are not exports.
+__all__ = sorted(
+    {
+        name
+        for name, value in globals().items()
+        if not name.startswith("_") and not isinstance(value, types.ModuleType)
+    }
+    | _LAZY.keys()
+)
 
 
 def __getattr__(name: str):

@@ -6,8 +6,9 @@ success and 1 when a validation fails, a disintegration is obstructed, or a
 law check finds a violation.  An input that cannot be read or used (a
 missing file, malformed JSON, non-finite entries, an unclassifiable document,
 a document of the wrong kind, mismatched algebras, chain-rule --dims that are
-not three factors of the density's side) or a non-numeric NCSTAT_TOL prints
-one ``ncstat: error: ...`` line to stderr and exits 2, the code argparse uses
+not three factors of the density's side) or a tolerance (--atol, --cutoff
+or NCSTAT_TOL) that is not a finite number >= 0 prints one
+``ncstat: error: ...`` line to stderr and exits 2, the code argparse uses
 for usage errors; ``validate`` reports a file it cannot load as
 ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides the default
 tolerance for commands that take one; an explicit --atol flag wins over the
@@ -21,6 +22,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -45,14 +47,23 @@ from .serialize import (
 )
 
 
+def _tolerance(name: str, value: float) -> float:
+    # a NaN tolerance passes every check; a NaN or infinite cutoff can turn
+    # an infinite relative entropy finite
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
+
+
 def _env_atol() -> float:
     raw = os.environ.get("NCSTAT_TOL")
     if raw is None:
         return DEFAULT_ATOL
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ValueError(f"NCSTAT_TOL is not a number: {raw!r}") from None
+    return _tolerance("NCSTAT_TOL", value)
 
 
 def _load(path: str, kind: type, what: str):
@@ -191,12 +202,9 @@ def _cmd_check(args) -> int:
     from .generators import GeneratorConfig
     from .laws import run_laws
 
+    # the check options are named after the GeneratorConfig fields
     cfg = GeneratorConfig(
-        seed=args.seed,
-        trials=args.trials,
-        max_blocks=args.max_blocks,
-        max_block_dim=args.max_dim,
-        faithful_only=args.faithful_only,
+        **{f.name: getattr(args, f.name) for f in fields(GeneratorConfig)}
     )
     report = run_laws(cfg)
     print(report.summary())
@@ -260,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--trials", type=int, default=200)
     p.add_argument("--max-blocks", type=int, default=3)
-    p.add_argument("--max-dim", type=int, default=3)
+    p.add_argument("--max-dim", dest="max_block_dim", type=int, default=3)
     p.add_argument("--faithful-only", action="store_true")
     p.add_argument("--json")
     p.set_defaults(fn=_cmd_check)
@@ -271,11 +279,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        for flag in ("atol", "cutoff"):
+            if flag in vars(args):
+                _tolerance(f"--{flag}", getattr(args, flag))
         return args.fn(args)
     except (OSError, ValueError) as exc:
-        # every ncstat error, json.JSONDecodeError and a non-numeric
-        # NCSTAT_TOL is a ValueError, and load_any and _load turn a malformed
-        # or wrong-kind document into a ShapeError
+        # every ncstat error, json.JSONDecodeError and an unusable tolerance
+        # is a ValueError, and load_any and _load turn a malformed or
+        # wrong-kind document into a ShapeError
         print(f"ncstat: error: {exc}", file=sys.stderr)
         return 2
 

@@ -131,7 +131,7 @@ def convex_sum_objects(lam: float, o1: NCObject, o2: NCObject) -> NCObject:
     densities = tuple(lam * d for d in o1.state.densities) + tuple(
         (1.0 - lam) * d for d in o2.state.densities
     )
-    return NCObject.from_state(State(alg, densities))
+    return NCObject(State(alg, densities))
 
 
 def convex_sum_morphisms(lam: float, m1: NCMorphism, m2: NCMorphism) -> NCMorphism:

@@ -143,6 +143,11 @@ def gen_mult_matrix(
         for m in range(1, cfg.max_block_dim + 1)
     }
     feasible = [m for m, options in options_by_side.items() if options]
+    if not feasible:
+        raise ShapeError(
+            f"no target side up to max_block_dim={cfg.max_block_dim} holds "
+            f"a source block of source dims {source_dims}"
+        )
     for _ in range(200):
         s = int(rng.integers(1, cfg.max_blocks + 1))
         cols = []

@@ -57,16 +57,11 @@ OBJECT_STATE_ATOL = 1e-8
 class NCObject:
     """A block algebra together with a state on it."""
 
-    algebra: AlgebraSpec
     state: State
 
-    def __post_init__(self):
-        if self.state.algebra != self.algebra:
-            raise AlgebraMismatchError("state does not live on the declared algebra")
-
-    @classmethod
-    def from_state(cls, s: State) -> "NCObject":
-        return cls(s.algebra, s)
+    @property
+    def algebra(self) -> AlgebraSpec:
+        return self.state.algebra
 
 
 @dataclass(frozen=True, eq=False)
@@ -248,7 +243,7 @@ def rectify_morphism(m: NCMorphism) -> RectificationResult:
         for row in m.cpu.components
     ]
     cpu_r = CPUMap(m.cpu.source, m.cpu.target, folded)
-    target_r = NCObject.from_state(conjugate_state(m.target.state, u))
+    target_r = NCObject(conjugate_state(m.target.state, u))
     rectified = NCMorphism(m.source, target_r, strip_conjugators(m.hom), cpu_r)
     return RectificationResult(u=u, morphisms=(rectified,))
 
@@ -475,12 +470,7 @@ def build_hypothesis_from_alphas(
             densities = [b @ d @ b.conj().T for d, b in zip(densities, hom.conjugators)]
         target_state = State(hom.target, densities)
 
-    return NCMorphism(
-        source=NCObject.from_state(source_state),
-        target=NCObject.from_state(target_state),
-        hom=hom,
-        cpu=cpu,
-    )
+    return NCMorphism(NCObject(source_state), NCObject(target_state), hom, cpu)
 
 
 def construct_optimal_hypothesis(

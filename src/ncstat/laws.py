@@ -10,7 +10,7 @@ instead of failing on them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -87,14 +87,10 @@ class LawResult:
         return self.failures == 0
 
     def to_json(self) -> dict:
+        # Overriding an existing key keeps its place in the dict.
         return {
-            "name": self.name,
-            "tolerance": self.tolerance,
-            "trials": self.trials,
-            "failures": self.failures,
-            "max_defect": self.max_defect,
+            **asdict(self),
             "failing_trials": list(self.failing_trials),
-            "infinite_count": self.infinite_count,
             "passed": self.passed,
         }
 
@@ -124,11 +120,7 @@ class LawReport:
 
     def to_json(self) -> dict:
         return {
-            "seed": self.config.seed,
-            "trials": self.config.trials,
-            "max_blocks": self.config.max_blocks,
-            "max_block_dim": self.config.max_block_dim,
-            "faithful_only": self.config.faithful_only,
+            **asdict(self.config),
             "ok": self.ok,
             "laws": [r.to_json() for r in self.results],
         }

@@ -131,8 +131,8 @@ def morphism_to_json(m: NCMorphism) -> dict:
 
 def morphism_from_json(doc: dict) -> NCMorphism:
     return NCMorphism(
-        source=NCObject.from_state(state_from_json(doc["source"])),
-        target=NCObject.from_state(state_from_json(doc["target"])),
+        source=NCObject(state_from_json(doc["source"])),
+        target=NCObject(state_from_json(doc["target"])),
         hom=hom_from_json(doc["hom"]),
         cpu=cpu_from_json(doc["cpu"]),
     )

@@ -264,3 +264,24 @@ def test_env_tolerance_override(workdir, monkeypatch, capsys):
     monkeypatch.setenv("NCSTAT_TOL", "not-a-number")
     assert main(["validate", p]) == 2
     assert "NCSTAT_TOL is not a number" in _one_error_line(capsys)
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
+def test_tolerance_must_be_finite_and_nonnegative(workdir, monkeypatch, capsys, value):
+    # a state with eigenvalue -0.5, which a NaN or infinite atol would pass
+    bad = state_to_json(State(AlgebraSpec((2,)), (np.diag([1.5, -0.5]),)))
+    p = workdir["dir"] + "/negative.json"
+    write_json(p, bad)
+    orthogonal = [workdir["s2.json"], workdir["s1.json"]]
+    disintegrate = ["disintegrate", workdir["hom.json"], workdir["omega.json"]]
+    for argv, flag in [
+        (["validate", p, f"--atol={value}"], "--atol"),
+        ([*disintegrate, f"--atol={value}"], "--atol"),
+        (["rel-entropy", *orthogonal, f"--cutoff={value}"], "--cutoff"),
+        (["re", workdir["m.json"], f"--cutoff={value}"], "--cutoff"),
+    ]:
+        assert main(argv) == 2
+        assert f"{flag} must be finite and >= 0" in _one_error_line(capsys)
+    monkeypatch.setenv("NCSTAT_TOL", value)
+    assert main(["validate", p]) == 2
+    assert "NCSTAT_TOL must be finite and >= 0" in _one_error_line(capsys)

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from ncstat.algebra import AlgebraSpec, State, validate_state
+from ncstat.errors import ShapeError
 from ncstat.generators import (
     FAITHFUL_FLOOR,
     GeneratorConfig,
@@ -99,6 +102,15 @@ def test_gen_mult_matrix_unital_and_injective():
             assert any(c > 0 for c in row)  # injective: every source block lands
 
 
+def test_gen_mult_matrix_without_feasible_side_names_the_cause():
+    cfg = GeneratorConfig(seed=1, max_block_dim=4)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match=r"max_block_dim=4 .*\(8,\)"):
+        gen_star_hom(rng, AlgebraSpec((8,)), cfg)
+    assert rng.bit_generator.state == before  # raised before any draw
+
+
 def test_gen_star_hom_standard_flag():
     rng = rng_for(CFG, 4)
     alg = gen_algebra(rng, CFG)
@@ -150,6 +162,27 @@ def test_run_laws_small_config_passes():
     assert len(report.results) == len(LAWS)
     doc = report.to_json()
     assert doc["ok"] and len(doc["laws"]) == len(LAWS)
+
+
+def test_law_report_json_layout():
+    doc = run_laws(GeneratorConfig(seed=3, trials=2)).to_json()
+    assert json.loads(json.dumps(doc)) == doc  # a tuple would come back a list
+    assert list(doc) == [
+        "seed", "trials", "max_blocks", "max_block_dim", "faithful_only", "ok", "laws"
+    ]
+    assert [doc[k] for k in list(doc)[:5]] == [3, 2, 3, 3, False]
+    law = doc["laws"][0]
+    assert list(law) == [
+        "name",
+        "tolerance",
+        "trials",
+        "failures",
+        "max_defect",
+        "failing_trials",
+        "infinite_count",
+        "passed",
+    ]
+    assert all(isinstance(entry["failing_trials"], list) for entry in doc["laws"])
 
 
 def test_run_laws_faithful_only_skips_coverage():

@@ -71,14 +71,14 @@ def diag_embedding():
 def test_object_state_wiring():
     alg = AlgebraSpec((2,))
     s = State(alg, (np.eye(2) / 2,))
-    obj = NCObject.from_state(s)
+    obj = NCObject(s)
     assert obj.algebra == alg
 
 
 def test_morphism_wiring_rejected():
     f = diag_embedding()
-    xi = NCObject.from_state(State(f.source, (np.array([[0.5]]), np.array([[0.5]]))))
-    om = NCObject.from_state(State(f.target, (np.eye(2) / 2,)))
+    xi = NCObject(State(f.source, (np.array([[0.5]]), np.array([[0.5]]))))
+    om = NCObject(State(f.target, (np.eye(2) / 2,)))
     alphas = AlphaFamily(f.mult, ((np.eye(1),), (np.eye(1),)))
     good = build_hypothesis_from_alphas(f, xi.state, alphas)
     with pytest.raises(Exception):
@@ -106,7 +106,7 @@ def test_generated_morphism_is_valid():
 def test_identity_morphism_is_optimal():
     alg = AlgebraSpec((2, 1))
     s = State(alg, (np.eye(2) / 3, np.eye(1) / 3))
-    m = identity_morphism(NCObject.from_state(s))
+    m = identity_morphism(NCObject(s))
     assert validate_morphism(m).ok
     flag, residual = is_optimal(m)
     assert flag and residual < 1e-14
@@ -191,8 +191,8 @@ def test_extract_alphas_rejects_copy_correlation():
     v[3, 1] = 1.0
     q = cpu_from_functions(tgt, src, lambda y, x, e: v.conj().T @ e @ v)
     m = NCMorphism(
-        source=NCObject.from_state(State(src, (np.eye(2) / 2,))),
-        target=NCObject.from_state(State(tgt, (np.eye(4) / 4,))),
+        source=NCObject(State(src, (np.eye(2) / 2,))),
+        target=NCObject(State(tgt, (np.eye(4) / 4,))),
         hom=hom,
         cpu=q,
     )
@@ -247,8 +247,8 @@ def test_copy_correlation_section_defect_under_conjugation():
     v = u @ v
     q = cpu_from_functions(tgt, src, lambda y, x, e: v.conj().T @ e @ v)
     m = NCMorphism(
-        source=NCObject.from_state(State(src, (np.eye(2) / 2,))),
-        target=NCObject.from_state(State(tgt, (np.eye(4) / 4,))),
+        source=NCObject(State(src, (np.eye(2) / 2,))),
+        target=NCObject(State(tgt, (np.eye(4) / 4,))),
         hom=hom,
         cpu=q,
     )
