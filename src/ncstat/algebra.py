@@ -9,6 +9,7 @@ combinations stay closed.  All logarithms are natural.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -19,6 +20,15 @@ from .errors import AlgebraMismatchError, ShapeError
 
 DEFAULT_ATOL = 1e-9
 DEFAULT_CUTOFF = 1e-10
+
+
+def check_tolerance(name: str, value: float) -> float:
+    """value if it is a finite number >= 0; a ValueError naming it otherwise."""
+    # a NaN tolerance passes every check; a NaN or infinite cutoff can turn
+    # an infinite relative entropy finite
+    if not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    return value
 
 
 def frozen_matrix(m: object, shape: tuple[int, int], what: str) -> np.ndarray:
@@ -171,6 +181,7 @@ class State:
         so a block carrying only noise weight has an empty support.  Cached
         per cutoff, read-only like ``spectra``.
         """
+        check_tolerance("cutoff", cutoff)
         if cutoff not in self._supports:
             top = max(e.eigenvalues[-1] for e in self.spectra)
             self._supports[cutoff] = tuple(
@@ -356,6 +367,7 @@ def psd_violations(
     kinds names the two violation kinds.  Also returns the least eigenvalue
     of the Hermitian parts over all matrices, inf when there are none.
     """
+    check_tolerance("atol", atol)
     herm_kind, psd_kind = kinds
     violations = []
     least = np.inf

@@ -26,7 +26,7 @@ from dataclasses import fields
 
 import numpy as np
 
-from .algebra import DEFAULT_ATOL, DEFAULT_CUTOFF, State, validate_state
+from .algebra import DEFAULT_ATOL, DEFAULT_CUTOFF, State, check_tolerance, validate_state
 from .errors import ShapeError
 from .hypotheses import (
     NCMorphism,
@@ -47,14 +47,6 @@ from .serialize import (
 )
 
 
-def _tolerance(name: str, value: float) -> float:
-    # a NaN tolerance passes every check; a NaN or infinite cutoff can turn
-    # an infinite relative entropy finite
-    if not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
-    return value
-
-
 def _env_atol() -> float:
     raw = os.environ.get("NCSTAT_TOL")
     if raw is None:
@@ -63,7 +55,7 @@ def _env_atol() -> float:
         value = float(raw)
     except ValueError:
         raise ValueError(f"NCSTAT_TOL is not a number: {raw!r}") from None
-    return _tolerance("NCSTAT_TOL", value)
+    return check_tolerance("NCSTAT_TOL", value)
 
 
 def _load(path: str, kind: type, what: str):
@@ -281,7 +273,7 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         for flag in ("atol", "cutoff"):
             if flag in vars(args):
-                _tolerance(f"--{flag}", getattr(args, flag))
+                check_tolerance(f"--{flag}", getattr(args, flag))
         return args.fn(args)
     except (OSError, ValueError) as exc:
         # every ncstat error, json.JSONDecodeError and an unusable tolerance

@@ -226,7 +226,7 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
             if c == 0:
                 continue
             seg = d[s, s]
-            log_alpha = hermitian_log(alphas.get(y, x))
+            log_alpha = hermitian_log(alphas.blocks[y][x])
             term_alpha += float(
                 np.trace(seg @ np.kron(log_alpha, np.eye(n))).real
             )
@@ -251,10 +251,6 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
 # The tensor-inclusion triple and the chain rule
 
 
-def _uniform_alpha(c: int) -> AlphaFamily:
-    return AlphaFamily(((c,),), ((np.eye(c) / c,),))
-
-
 def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphism:
     """Hypothesis for including M_tail into M_(head*tail) as identity kron tail.
 
@@ -273,7 +269,7 @@ def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphis
     omega = State(alg_top, (rho_joint,))
     xi = pushforward_state(omega, hom)
     return build_hypothesis_from_alphas(
-        hom, xi, _uniform_alpha(head_dim), target_state=omega
+        hom, xi, AlphaFamily(((np.eye(head_dim) / head_dim,),)), target_state=omega
     )
 
 

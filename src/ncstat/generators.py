@@ -202,7 +202,7 @@ def gen_alpha_family(
         if total <= 0:
             raise ShapeError("a source block with no multiplicity anywhere")
         rows.append(tuple(None if a is None else a / total for a in raw))
-    return AlphaFamily(mult, tuple(rows))
+    return AlphaFamily(rows)
 
 
 def gen_morphism(

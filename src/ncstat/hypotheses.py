@@ -88,38 +88,28 @@ class NCMorphism:
 class AlphaFamily:
     """Strictly positive segment weights of a disintegration-form CPU map.
 
-    blocks[y][x] is a Hermitian PSD matrix of side mult[y][x], or None where the
-    multiplicity vanishes.  Validity requires sum_x trace(blocks[y][x]) == 1 for
-    every source block y.
+    blocks[y][x] is a Hermitian PSD matrix, or None where the multiplicity
+    vanishes; the multiplicities are read off the block sides.  Validity
+    requires sum_x trace(blocks[y][x]) == 1 for every source block y.
     """
 
-    mult: tuple[tuple[int, ...], ...]
     blocks: tuple[tuple[np.ndarray | None, ...], ...]
 
     def __post_init__(self):
-        mult = tuple(tuple(int(c) for c in row) for row in self.mult)
-        if len(self.blocks) != len(mult):
-            raise ShapeError("alpha rows do not match the multiplicity rows")
-        rows = []
-        for y, (mrow, brow) in enumerate(zip(mult, self.blocks)):
-            if len(brow) != len(mrow):
-                raise ShapeError("alpha columns do not match the multiplicity columns")
-            row = []
-            for x, (c, a) in enumerate(zip(mrow, brow)):
-                if c == 0:
-                    if a is not None:
-                        raise ShapeError(f"entry ({y},{x}) must be None, multiplicity 0")
-                    row.append(None)
-                    continue
-                if a is None:
-                    raise ShapeError(f"entry ({y},{x}) missing, multiplicity {c}")
-                row.append(frozen_matrix(a, (c, c), f"entry ({y},{x})"))
-            rows.append(tuple(row))
-        object.__setattr__(self, "mult", mult)
-        object.__setattr__(self, "blocks", tuple(rows))
+        rows = tuple(
+            tuple(
+                a if a is None else frozen_matrix(a, (len(a),) * 2, f"entry ({y},{x})")
+                for x, a in enumerate(row)
+            )
+            for y, row in enumerate(self.blocks)
+        )
+        object.__setattr__(self, "blocks", rows)
 
-    def get(self, y: int, x: int) -> np.ndarray | None:
-        return self.blocks[y][x]
+    @property
+    def mult(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(
+            tuple(0 if a is None else a.shape[0] for a in row) for row in self.blocks
+        )
 
     def assemble(self, hom: StarHom, densities) -> tuple[np.ndarray, ...]:
         """Per target block x of hom, blockdiag_y(alpha_yx kron densities[y])."""
@@ -299,88 +289,61 @@ def compose_morphisms(g: NCMorphism, f: NCMorphism) -> NCMorphism:
 # Disintegration: segmentwise tensor factorization of densities
 
 
-def _factor_block(
-    density: np.ndarray,
-    segs: tuple[slice, ...],
-    mult_col: tuple[int, ...],
-    refs: tuple[np.ndarray, ...],
-    atol: float,
-):
-    """Factor one target-block density as blockdiag_y(alpha_yx kron ref_y).
-
-    segs and mult_col are the segments and multiplicities of the target block,
-    one per source block.  Returns (alpha column dict y -> matrix or None for
-    unconstrained rows, squared residual, ok flag).  Off-diagonal segments are
-    compared against zero at absolute atol; diagonal segments must factor
-    within relative atol.
-    """
-    sq_residual = 0.0
-    ok = True
-    alphas: dict[int, np.ndarray | None] = {}
-    for y, s in enumerate(segs):
-        for yp, sp in enumerate(segs):
-            if y != yp:
-                off = np.linalg.norm(density[s, sp])
-                sq_residual += off**2
-                if off > atol:
-                    ok = False
-    for y, (s, c, ref) in enumerate(zip(segs, mult_col, refs)):
-        if c == 0:
-            continue
-        n = ref.shape[0]
-        seg = density[s, s]
-        q = np.trace(ref).real
-        if q <= atol:
-            # weightless reference: the segment must vanish with it
-            alphas[y] = None
-            leak = float(np.linalg.norm(seg))
-            sq_residual += leak**2
-            if leak > 10 * atol:
-                ok = False
-            continue
-        ref_pinv = hermitian_pinv(ref)
-        denom = np.trace(ref @ ref_pinv).real
-        seg4 = seg.reshape(c, n, c, n)
-        alpha = np.einsum("kaKb,ba->kK", seg4, ref_pinv) / denom
-        alpha = (alpha + alpha.conj().T) / 2
-        recon = np.kron(alpha, ref)
-        r = np.linalg.norm(seg - recon)
-        sq_residual += r**2
-        if r > atol * max(np.linalg.norm(seg), atol):
-            ok = False
-        alphas[y] = alpha
-    return alphas, sq_residual, ok
-
-
 def _factor_state(
     s: State,
     hom: StarHom,
     refs: tuple[np.ndarray, ...],
     atol: float,
 ):
-    """Factor every block of s through the segment layout of hom.
+    """Factor every block of s as blockdiag_y(alpha_yx kron refs[y]).
 
-    Only the layout (multiplicities and block sides) is read, so s must
-    already be in the standard frame; the conjugators are ignored.
+    Only the segment layout of hom (multiplicities and block sides) is read,
+    so s must already be in the standard frame; the conjugators are ignored.
+    Returns (alpha family, residual, ok flag).  Off-diagonal segments are
+    compared against zero at absolute atol; diagonal segments must factor
+    within relative atol.  A weightless reference leaves its alpha row
+    unconstrained, and the uniform choice is written there.
     """
-    per_block: list[dict[int, np.ndarray | None]] = []
+    # one pseudo-inverse and its normalizer per weighted source block with a copy
+    inverses = {}
+    for y, ref in enumerate(refs):
+        if any(hom.mult[y]) and np.trace(ref).real > atol:
+            p = hermitian_pinv(ref)
+            inverses[y] = p, np.trace(ref @ p).real
+    rows = [[None] * hom.target.num_blocks for _ in refs]
     sq_residual = 0.0
     ok = True
-    for d, segs, col in zip(s.densities, hom.segments, zip(*hom.mult)):
-        a, sq, good = _factor_block(d, segs, col, refs, atol)
-        per_block.append(a)
-        sq_residual += sq
-        ok = ok and good
-    # assemble the family; unconstrained entries get the uniform choice
-    rows = tuple(
-        tuple(
-            np.eye(c) / sum(mrow) if c and col.get(y) is None else col.get(y)
-            for c, col in zip(mrow, per_block)
-        )
-        for y, mrow in enumerate(hom.mult)
-    )
-    family = AlphaFamily(hom.mult, rows)
-    return family, float(np.sqrt(sq_residual)), ok
+    for x, (density, segs) in enumerate(zip(s.densities, hom.segments)):
+        for y, sy in enumerate(segs):
+            for yp, sp in enumerate(segs):
+                if y != yp:
+                    off = np.linalg.norm(density[sy, sp])
+                    sq_residual += off**2
+                    if off > atol:
+                        ok = False
+        for y, (sy, ref) in enumerate(zip(segs, refs)):
+            c = hom.mult[y][x]
+            if c == 0:
+                continue
+            seg = density[sy, sy]
+            if y not in inverses:
+                # weightless reference: the segment must vanish with it
+                rows[y][x] = np.eye(c) / sum(hom.mult[y])
+                leak = float(np.linalg.norm(seg))
+                sq_residual += leak**2
+                if leak > 10 * atol:
+                    ok = False
+                continue
+            ref_pinv, denom = inverses[y]
+            n = ref.shape[0]
+            alpha = np.einsum("kaKb,ba->kK", seg.reshape(c, n, c, n), ref_pinv) / denom
+            alpha = (alpha + alpha.conj().T) / 2
+            r = np.linalg.norm(seg - np.kron(alpha, ref))
+            sq_residual += r**2
+            if r > atol * max(np.linalg.norm(seg), atol):
+                ok = False
+            rows[y][x] = alpha
+    return AlphaFamily(rows), float(np.sqrt(sq_residual)), ok
 
 
 def extract_alphas(m: NCMorphism) -> AlphaFamily:
@@ -435,7 +398,7 @@ def build_hypothesis_from_alphas(
     """
     if source_state.algebra != hom.source:
         raise AlgebraMismatchError("source state does not live on the hom source")
-    if tuple(alphas.mult) != tuple(hom.mult):
+    if alphas.mult != hom.mult:
         raise ShapeError("alpha multiplicities do not match the homomorphism")
     rep = alphas.validate(atol)
     if not rep.ok:
@@ -447,7 +410,7 @@ def build_hypothesis_from_alphas(
         c, n, m = hom.mult[y][x], hom.source.block_dims[y], hom.target.block_dims[x]
         if c == 0:
             return np.zeros((m * n, m * n), dtype=np.complex128)
-        alpha, s, lo = alphas.get(y, x), c * n, hom.segments[x][y].start
+        alpha, s, lo = alphas.blocks[y][x], c * n, hom.segments[x][y].start
         choi = choi_from_function(
             lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), s, n
         )

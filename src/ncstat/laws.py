@@ -380,7 +380,7 @@ def _law_extract_build_roundtrip(rng, cfg) -> TrialOutcome:
         for x, a in enumerate(row):
             if a is None:
                 continue
-            worst = max(worst, float(np.linalg.norm(back.get(y, x) - a)))
+            worst = max(worst, float(np.linalg.norm(back.blocks[y][x] - a)))
     return TrialOutcome(defect=worst)
 
 

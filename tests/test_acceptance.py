@@ -253,7 +253,7 @@ def test_disintegration_roundtrip(capsys):
             for x, alpha in enumerate(row):
                 if alpha is None:
                     continue
-                worst = max(worst, float(np.linalg.norm(back.get(y, x) - alpha)))
+                worst = max(worst, float(np.linalg.norm(back.blocks[y][x] - alpha)))
     report(
         capsys,
         10,

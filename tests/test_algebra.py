@@ -128,6 +128,14 @@ def test_validate_state_flags_problems():
     assert any(v.kind == "hermiticity" for v in rep.violations)
 
 
+@pytest.mark.parametrize("atol", [math.nan, math.inf, -0.5])
+def test_validate_state_rejects_unusable_tolerance(atol):
+    # a NaN or infinite atol would pass a state with eigenvalue -0.5
+    neg = State(AlgebraSpec((2,)), (np.diag([1.5, -0.5]),))
+    with pytest.raises(ValueError, match="atol must be finite and >= 0"):
+        validate_state(neg, atol)
+
+
 def test_partial_trace_left_tensor_oracle():
     rng = np.random.default_rng(3)
     for _ in range(20):

@@ -36,7 +36,7 @@ ONE, TWO = AlgebraSpec((1,)), AlgebraSpec((2,))
             lambda: CPUMap(AlgebraSpec((1, 1)), TWO, ((np.eye(2), np.eye(3)),)),
             "component (0,1)",
         ),
-        (lambda: AlphaFamily(((2,),), ((np.eye(3),),)), "entry (0,0)"),
+        (lambda: AlphaFamily(((np.ones((2, 3)),),)), "entry (0,0)"),
     ],
     ids=["element", "state", "hom", "raw", "cpu", "alpha"],
 )
@@ -135,7 +135,6 @@ def test_validators_match_the_reference_loops(case, trial):
     m = gen_morphism(CFG, rng)
     fam = gen_alpha_family(rng, m.hom.mult)
     fam = AlphaFamily(
-        fam.mult,
         tuple(tuple(None if a is None else _spoil(a, case) for a in row) for row in fam.blocks),
     )
     assert _listed(fam.validate(ATOL)) == _ref_alphas(fam, ATOL)

@@ -107,6 +107,15 @@ def test_relative_entropy_orthogonal_supports():
     assert math.isinf(relative_entropy(a, b))
 
 
+@pytest.mark.parametrize("cutoff", [math.nan, math.inf, -0.5])
+def test_relative_entropy_rejects_unusable_cutoff(cutoff):
+    # a NaN cutoff used to turn this infinite relative entropy into 0.0
+    a = qubit_state(np.diag([1.0, 0.0]))
+    b = qubit_state(np.diag([0.0, 1.0]))
+    with pytest.raises(ValueError, match="cutoff must be finite and >= 0"):
+        relative_entropy(a, b, cutoff)
+
+
 def _random_density(rng, n, rank, weight):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     d = g @ g.conj().T
@@ -263,7 +272,7 @@ def test_functoriality_infinite_regime_reported():
     hom = StarHom(src, tgt, ((2,),), (np.eye(4),))
     xi = State(src, (np.eye(2) / 2,))
     omega = State(tgt, (np.eye(4) / 4,))
-    fam = AlphaFamily(hom.mult, ((np.diag([1.0, 0.0]),),))
+    fam = AlphaFamily(((np.diag([1.0, 0.0]),),))
     outer = build_hypothesis_from_alphas(hom, xi, fam, target_state=omega)
     assert validate_morphism(outer).ok
     inner = identity_morphism(outer.source)

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraElement, AlgebraSpec, State, state_distance
+from ncstat.algebra import (
+    AlgebraElement,
+    AlgebraSpec,
+    State,
+    hermitian_pinv,
+    state_distance,
+)
 from ncstat.errors import FactorizationError, ObjectMismatchError, ShapeError
 from ncstat.hypotheses import (
     AlphaFamily,
@@ -31,6 +37,7 @@ from ncstat.maps import (
     cpu_pushforward_state,
     strip_conjugators,
 )
+from ncstat.entropy import re_functor
 from ncstat.generators import (
     GeneratorConfig,
     gen_algebra,
@@ -79,7 +86,7 @@ def test_morphism_wiring_rejected():
     f = diag_embedding()
     xi = NCObject(State(f.source, (np.array([[0.5]]), np.array([[0.5]]))))
     om = NCObject(State(f.target, (np.eye(2) / 2,)))
-    alphas = AlphaFamily(f.mult, ((np.eye(1),), (np.eye(1),)))
+    alphas = AlphaFamily(((np.eye(1),), (np.eye(1),)))
     good = build_hypothesis_from_alphas(f, xi.state, alphas)
     with pytest.raises(Exception):
         NCMorphism(source=om, target=xi, hom=f, cpu=good.cpu)
@@ -87,7 +94,7 @@ def test_morphism_wiring_rejected():
 
 def test_validate_morphism_pushforward_defect():
     f = diag_embedding()
-    alphas = AlphaFamily(f.mult, ((np.eye(1),), (np.eye(1),)))
+    alphas = AlphaFamily(((np.eye(1),), (np.eye(1),)))
     xi = State(f.source, (np.array([[0.5]]), np.array([[0.5]])))
     omega = State(f.target, (np.diag([0.3, 0.7]),))
     m = build_hypothesis_from_alphas(f, xi, alphas, target_state=omega)
@@ -163,11 +170,11 @@ def test_extract_alphas_tensor_product():
     alpha = np.diag([0.3, 0.7])
     omega = State(tgt, (np.kron(alpha, sigma),))
     xi = State(src, (sigma,))
-    fam = AlphaFamily(hom.mult, ((alpha,),))
+    fam = AlphaFamily(((alpha,),))
     m = build_hypothesis_from_alphas(hom, xi, fam, target_state=omega)
     assert validate_morphism(m).ok
     back = extract_alphas(m)
-    assert np.allclose(back.get(0, 0), alpha, atol=1e-12)
+    assert np.allclose(back.blocks[0][0], alpha, atol=1e-12)
     flag, _ = is_optimal(m)
     assert flag
 
@@ -285,7 +292,54 @@ def test_disintegration_maximally_mixed():
     m = construct_optimal_hypothesis(hom, omega)
     assert isinstance(m, NCMorphism)
     alphas = extract_alphas(m)
-    assert np.allclose(alphas.get(0, 0), np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(alphas.blocks[0][0], np.eye(2) / 2, atol=1e-12)
+
+
+def test_disintegration_weightless_reference_gets_uniform_alpha(monkeypatch):
+    import ncstat.hypotheses as hyp
+
+    built = []
+
+    def spy(hom, xi, alphas, **kwargs):
+        built.append(alphas)
+        return build_hypothesis_from_alphas(hom, xi, alphas, **kwargs)
+
+    monkeypatch.setattr(hyp, "build_hypothesis_from_alphas", spy)
+    # source block 1 carries no weight, so its alpha row is unconstrained
+    hom = StarHom(
+        AlgebraSpec((1, 1)), AlgebraSpec((2, 2)), ((2, 0), (0, 2)), (np.eye(2), np.eye(2))
+    )
+    omega = State(hom.target, (np.diag([0.3, 0.7]), np.zeros((2, 2))))
+    m = construct_optimal_hypothesis(hom, omega)
+    assert isinstance(m, NCMorphism)
+    for fam in (*built, extract_alphas(m)):
+        assert fam.mult == hom.mult
+        assert fam.blocks[0][1] is None and fam.blocks[1][0] is None
+        assert np.allclose(fam.blocks[0][0], np.diag([0.3, 0.7]), atol=1e-12)
+        assert np.array_equal(fam.blocks[1][1], np.eye(2) / 2)
+    assert len(built) == 1
+    assert validate_morphism(m).ok
+    flag, residual = is_optimal(m)
+    assert flag and residual < 1e-14
+    assert re_functor(m) == 0.0
+
+
+def test_disintegration_one_pinv_per_source_block(monkeypatch):
+    import ncstat.hypotheses as hyp
+
+    calls = []
+
+    def spy(m):
+        calls.append(m.shape)
+        return hermitian_pinv(m)
+
+    monkeypatch.setattr(hyp, "hermitian_pinv", spy)
+    # the one source block has copies in both target blocks
+    hom = StarHom(AlgebraSpec((1,)), AlgebraSpec((2, 1)), ((2, 1),), (np.eye(2), np.eye(1)))
+    omega = State(hom.target, (np.diag([0.2, 0.3]), np.array([[0.5]])))
+    m = construct_optimal_hypothesis(hom, omega)
+    assert isinstance(m, NCMorphism)
+    assert calls == [(1, 1)]
 
 
 def test_disintegration_respects_conjugator():
@@ -301,14 +355,13 @@ def test_disintegration_respects_conjugator():
 
 
 def test_alpha_family_validation():
-    mult = ((2,),)
-    good = AlphaFamily(mult, ((np.eye(2) / 2,),))
+    good = AlphaFamily(((np.eye(2) / 2,),))
     assert good.validate().ok
-    bad = AlphaFamily(mult, ((np.diag([1.5, -0.5]),),))
+    bad = AlphaFamily(((np.diag([1.5, -0.5]),),))
     rep = bad.validate()
     assert not rep.ok
-    with pytest.raises(ShapeError):
-        AlphaFamily(mult, ((np.eye(3),),))
+    with pytest.raises(ShapeError, match=r"entry \(0,0\) must be 2x2"):
+        AlphaFamily(((np.ones((2, 3)),),))
 
 
 def _standard_frame_reference(hom, xi, alphas):
@@ -330,7 +383,7 @@ def _standard_frame_reference(hom, xi, alphas):
             return np.zeros((n, n), dtype=np.complex128)
         lo, hi = offsets[x][y], offsets[x][y + 1]
         seg = a[lo:hi, lo:hi].reshape(c, n, c, n)
-        return np.einsum("kl,ljkJ->jJ", alphas.get(y, x), seg)
+        return np.einsum("kl,ljkJ->jJ", alphas.blocks[y][x], seg)
 
     cpu = cpu_from_functions(hom.target, hom.source, component)
     densities = []
@@ -339,7 +392,7 @@ def _standard_frame_reference(hom, xi, alphas):
         for y in range(hom.source.num_blocks):
             if hom.mult[y][x]:
                 lo, hi = offsets[x][y], offsets[x][y + 1]
-                d[lo:hi, lo:hi] = np.kron(alphas.get(y, x), xi.densities[y])
+                d[lo:hi, lo:hi] = np.kron(alphas.blocks[y][x], xi.densities[y])
         densities.append(d)
     return cpu, densities
 
@@ -530,4 +583,4 @@ def test_build_rejects_mismatched_alphas():
     hom = StarHom(src, tgt, ((2,),), (np.eye(4),))
     xi = State(src, (np.eye(2) / 2,))
     with pytest.raises(ShapeError):
-        build_hypothesis_from_alphas(hom, xi, AlphaFamily(((1,),), ((np.eye(1),),)))
+        build_hypothesis_from_alphas(hom, xi, AlphaFamily(((np.eye(1),),)))
