@@ -222,8 +222,8 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    herm_defect = np.linalg.norm(m - m.conj().T) if m.size else 0.0
-    if herm_defect > DEFAULT_ATOL:
+    herm_defect = np.linalg.norm(m - m.conj().T)
+    if not herm_defect <= DEFAULT_ATOL:  # also catches NaN and inf entries
         raise np.linalg.LinAlgError(
             f"matrix is not Hermitian within tolerance (defect {herm_defect:.3e})"
         )
@@ -372,9 +372,11 @@ def psd_violations(
     violations = []
     least = np.inf
     for where, m in named:
-        herm = np.linalg.norm(m - m.conj().T)
-        if herm > atol:
+        herm = np.linalg.norm(m - m.conj().T)  # NaN or inf on a non-finite entry
+        if not herm <= atol:
             violations.append(Violation(herm_kind, where, float(herm)))
+        if not math.isfinite(herm):
+            continue
         low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         least = min(least, low)
         if low < -atol:

@@ -88,9 +88,6 @@ def gen_state(
             rank = d
         else:
             rank = int(rng.integers(0, d + 1))
-        if rank == 0:
-            blocks.append(np.zeros((d, d), dtype=np.complex128))
-            continue
         g = rng.standard_normal((d, rank)) + 1j * rng.standard_normal((d, rank))
         blocks.append(g @ g.conj().T)
     total = sum(np.trace(b).real for b in blocks)

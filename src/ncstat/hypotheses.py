@@ -20,6 +20,7 @@ from .algebra import (
     State,
     ValidationReport,
     Violation,
+    check_tolerance,
     frozen_matrix,
     hermitian_pinv,
     psd_violations,
@@ -208,6 +209,7 @@ def is_optimal(m: NCMorphism, atol: float = DEFAULT_ATOL) -> tuple[bool, float]:
 
     Returns the flag and the Frobenius residual between the two states.
     """
+    check_tolerance("atol", atol)
     back = cpu_pushforward_state(m.source.state, m.cpu)
     residual = state_distance(back, m.target.state)
     return residual <= atol, residual
@@ -304,6 +306,7 @@ def _factor_state(
     within relative atol.  A weightless reference leaves its alpha row
     unconstrained, and the uniform choice is written there.
     """
+    check_tolerance("atol", atol)
     # one pseudo-inverse and its normalizer per weighted source block with a copy
     inverses = {}
     for y, ref in enumerate(refs):
@@ -387,14 +390,13 @@ def build_hypothesis_from_alphas(
     In the standard frame, the CPU component into source block y from target
     block x compresses to the (y, y) diagonal segment S, weights by alpha_yx on
     the copy factor, and takes the partial trace over the copies; its Choi
-    matrix C_S is built on S alone and, when every conjugator is exactly the
-    identity, placed at the rows and columns of S.  Otherwise the conjugators U
-    are folded in as (conj(U_S) kron 1) C_S (conj(U_S) kron 1)^H, U_S = U_x[:, S],
-    so the section axiom holds for hom itself.  When
-    no target state is given, the one that makes the morphism optimal is used:
-    per target block, U_x (direct sum over y of alpha_yx kron (source density
-    y)) U_x^H.  A supplied target state must still push forward to the source
-    state for the result to be valid.
+    matrix C_S is built on S alone, and the conjugator is folded in as
+    (conj(U_S) kron 1) C_S (conj(U_S) kron 1)^H, U_S = U_x[:, S], so the section
+    axiom holds for hom itself (an identity U_x just places C_S at the rows and
+    columns of S).  When no target state is given, the one that makes the
+    morphism optimal is used: per target block, U_x (direct sum over y of
+    alpha_yx kron (source density y)) U_x^H.  A supplied target state must
+    still push forward to the source state for the result to be valid.
     """
     if source_state.algebra != hom.source:
         raise AlgebraMismatchError("source state does not live on the hom source")
@@ -404,22 +406,15 @@ def build_hypothesis_from_alphas(
     if not rep.ok:
         raise ValueError(f"invalid alpha family: {rep.describe()}")
 
-    standard = hom.is_standard(atol=0.0)
-
     def component(y: int, x: int) -> np.ndarray:
         c, n, m = hom.mult[y][x], hom.source.block_dims[y], hom.target.block_dims[x]
         if c == 0:
             return np.zeros((m * n, m * n), dtype=np.complex128)
-        alpha, s, lo = alphas.blocks[y][x], c * n, hom.segments[x][y].start
+        alpha, seg = alphas.blocks[y][x], hom.segments[x][y]
         choi = choi_from_function(
-            lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), s, n
+            lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), c * n, n
         )
-        if standard:
-            out = np.zeros((m * n, m * n), dtype=np.complex128)
-            # the input index is major, so S spans rows and columns lo*n..(lo+s)*n
-            out[lo * n : (lo + s) * n, lo * n : (lo + s) * n] = choi
-            return out
-        return _fold_conjugation(choi, hom.conjugators[x][:, lo : lo + s].conj(), True)
+        return _fold_conjugation(choi, hom.conjugators[x][:, seg].conj(), True)
 
     grid = [
         [component(y, x) for x in range(hom.target.num_blocks)]
@@ -429,8 +424,7 @@ def build_hypothesis_from_alphas(
 
     if target_state is None:
         densities = alphas.assemble(hom, source_state.densities)
-        if not standard:
-            densities = [b @ d @ b.conj().T for d, b in zip(densities, hom.conjugators)]
+        densities = [b @ d @ b.conj().T for d, b in zip(densities, hom.conjugators)]
         target_state = State(hom.target, densities)
 
     return NCMorphism(NCObject(source_state), NCObject(target_state), hom, cpu)

@@ -283,8 +283,7 @@ def _law_cpu_validity(rng, cfg) -> TrialOutcome:
     image = apply_cpu(m.cpu, psd)
     for b in image.blocks:
         vals = np.linalg.eigvalsh((b + b.conj().T) / 2)
-        if vals.size:
-            worst = max(worst, max(0.0, -float(vals[0])))
+        worst = max(worst, max(0.0, -float(vals[0])))
     return TrialOutcome(defect=worst)
 
 

@@ -252,6 +252,19 @@ def test_absolute_continuity_rejects_non_psd():
         absolutely_continuous(bad, good)
 
 
+def test_validate_state_reports_non_finite_entries():
+    # an inf on the diagonal is reported too, but inf - inf makes numpy warn
+    for d in (
+        [[np.nan, 0], [0, 0.5]],
+        [[0.5, np.nan], [0, 0.5]],
+        [[0.5, np.inf], [0, 0.5]],
+    ):
+        s = State(AlgebraSpec((2,)), (np.array(d),))
+        report = validate_state(s)
+        assert not report.ok
+        assert report.violations[0].kind == "hermiticity"
+
+
 def test_direct_sum_algebras():
     c = direct_sum_algebras(AlgebraSpec((2, 1)), AlgebraSpec((3,)))
     assert c.block_dims == (2, 1, 3)

@@ -116,6 +116,16 @@ def test_relative_entropy_rejects_unusable_cutoff(cutoff):
         relative_entropy(a, b, cutoff)
 
 
+@pytest.mark.parametrize(
+    "d", [[[math.nan, 0.0], [0.0, 0.5]], [[0.5, math.inf], [0.0, 0.5]]]
+)
+def test_relative_entropy_rejects_non_finite_density(d):
+    # a NaN density used to score 0.0 against the maximally mixed state
+    s = qubit_state(np.array(d))
+    with pytest.raises(np.linalg.LinAlgError, match="not Hermitian"):
+        relative_entropy(s, qubit_state(np.eye(2) / 2))
+
+
 def _random_density(rng, n, rank, weight):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     d = g @ g.conj().T

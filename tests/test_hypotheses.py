@@ -29,6 +29,7 @@ from ncstat.hypotheses import (
 from ncstat.maps import (
     CPUMap,
     StarHom,
+    _fold_conjugation,
     ad_cpu,
     apply_cpu,
     apply_hom,
@@ -426,7 +427,7 @@ def test_build_folds_conjugators():
         assert is_optimal(m)[0]
 
 
-def test_build_skips_identity_conjugators(monkeypatch):
+def test_build_on_identity_conjugators_matches_standard_frame(monkeypatch):
     import ncstat.hypotheses as hyp
 
     def no_compose(*args, **kwargs):
@@ -492,6 +493,48 @@ def test_build_evaluates_segment_units_only(monkeypatch):
         assert is_optimal(m)[0]
 
 
+@pytest.mark.parametrize("atol", [math.inf, math.nan, -0.5])
+def test_is_optimal_rejects_unusable_tolerance(atol):
+    # an infinite atol used to call this non-optimal morphism optimal
+    cfg = GeneratorConfig(seed=42)
+    m = gen_morphism(cfg, rng_for(cfg, 0))
+    assert not is_optimal(m)[0]
+    with pytest.raises(ValueError, match="atol must be finite and >= 0"):
+        is_optimal(m, atol)
+
+
+@pytest.mark.parametrize("atol", [math.inf, math.nan, -0.5])
+def test_construct_optimal_hypothesis_rejects_unusable_tolerance(atol):
+    # a negative atol used to report NoDisintegration for a disintegrable state
+    cfg = GeneratorConfig(seed=42)
+    m = gen_optimal_morphism(cfg, rng_for(cfg, 1))
+    hom, omega = m.hom, m.target.state
+    assert isinstance(construct_optimal_hypothesis(hom, omega), NCMorphism)
+    with pytest.raises(ValueError, match="atol must be finite and >= 0"):
+        construct_optimal_hypothesis(hom, omega, atol)
+
+
+def test_build_folds_every_component_through_its_conjugator(monkeypatch):
+    # one path for every hom: a standard one has its identity conjugators
+    # folded in like any other, one fold per nonzero component
+    import ncstat.hypotheses as hyp
+
+    hom = StarHom(AlgebraSpec((2, 2)), AlgebraSpec((8,)), ((2,), (2,)), (np.eye(8),))
+    calls = []
+
+    def spy(choi, lft, on_input):
+        calls.append(lft.shape)
+        return _fold_conjugation(choi, lft, on_input)
+
+    monkeypatch.setattr(hyp, "_fold_conjugation", spy)
+    xi = gen_state(hom.source, CFG, np.random.default_rng(8), faithful=True)
+    alphas = gen_alpha_family(np.random.default_rng(9), hom.mult)
+    m = build_hypothesis_from_alphas(hom, xi, alphas)
+    assert calls == [(8, 4), (8, 4)]
+    assert validate_morphism(m).ok
+    assert is_optimal(m)[0]
+
+
 def _rectification_instances():
     """Morphisms with Haar conjugators, each with an outer morphism after it.
 
@@ -534,7 +577,8 @@ def test_rectify_morphism_matches_composition_with_ad_cpu():
         r = rectify_morphism(m)
         ref = compose_cpu(m.cpu, ad_cpu(r.u))
         assert _max_entry_gap(r.morphism.cpu, ref) <= 1e-14
-        assert r.morphism.hom.is_standard(atol=0.0)
+        for u in r.morphism.hom.conjugators:
+            assert np.array_equal(u, np.eye(len(u)))
         assert validate_morphism(r.morphism).ok
 
 

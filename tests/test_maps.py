@@ -366,6 +366,19 @@ def test_validate_cpu_flags_transpose():
     assert cp and abs(cp[0].residual - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "entry, bad", [((0, 0), np.nan), ((0, 1), np.nan), ((0, 1), np.inf)]
+)
+def test_validate_cpu_reports_non_finite_choi_entry(entry, bad):
+    # a non-finite entry fails Hermiticity and never reaches eigvalsh
+    alg = AlgebraSpec((2,))
+    choi = np.array(identity_cpu(alg).components[0][0])
+    choi[entry] = bad
+    rep = validate_cpu(CPUMap(alg, alg, ((choi,),)))
+    assert not rep.ok
+    assert rep.violations[0].kind == "choi-hermiticity"
+
+
 def test_validate_cpu_flags_non_unital():
     alg = AlgebraSpec((2,))
     q = cpu_from_functions(alg, alg, lambda y, x, e: 0.5 * e)
