@@ -222,8 +222,8 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
-    herm_defect = np.linalg.norm(m - m.conj().T)
-    if not herm_defect <= DEFAULT_ATOL:  # also catches NaN and inf entries
+    herm_defect = _hermiticity_defect(m)
+    if not herm_defect <= DEFAULT_ATOL:
         raise np.linalg.LinAlgError(
             f"matrix is not Hermitian within tolerance (defect {herm_defect:.3e})"
         )
@@ -359,29 +359,51 @@ class ValidationReport:
         return "; ".join(str(v) for v in self.violations)
 
 
+def _hermiticity_defect(m: np.ndarray) -> float:
+    """norm(m - m^H), or inf on a NaN or inf entry, where m - m^H would warn."""
+    if np.count_nonzero(np.isfinite(m)) < m.size:
+        return math.inf
+    return float(np.linalg.norm(m - m.conj().T))
+
+
 def psd_violations(
-    named: Iterable[tuple[str, np.ndarray]], atol: float, kinds: tuple[str, str]
-) -> tuple[list[Violation], float]:
+    named: Iterable[tuple[str, np.ndarray]], atol: float, kinds: tuple[str, str], floor: float
+) -> tuple[list[Violation], bool]:
     """Hermiticity and positivity violations of (where, matrix) pairs.
 
-    kinds names the two violation kinds.  Also returns the least eigenvalue
-    of the Hermitian parts over all matrices, inf when there are none.
+    kinds names the two violation kinds.  Also returns whether every finite
+    Hermitian part has all eigenvalues above floor (-atol, or atol for faithful).
     """
     check_tolerance("atol", atol)
     herm_kind, psd_kind = kinds
     violations = []
-    least = np.inf
+    above = True
     for where, m in named:
-        herm = np.linalg.norm(m - m.conj().T)  # NaN or inf on a non-finite entry
+        herm = _hermiticity_defect(m)
         if not herm <= atol:
-            violations.append(Violation(herm_kind, where, float(herm)))
+            violations.append(Violation(herm_kind, where, herm))
         if not math.isfinite(herm):
             continue
-        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
-        least = min(least, low)
+        h = (m + m.conj().T) / 2
+        n = len(h)
+        # from side 8 Cholesky is cheaper than eigvalsh; h - (floor + delta) 1
+        # factors only if h > floor 1, delta bounding its error (Higham, Thm 10.3)
+        if n >= 8:
+            diag = h.ravel("K")[:: n + 1]  # a view: h is contiguous in some order
+            saved = diag.copy()
+            delta = 4 * (n + 1) * np.finfo(float).eps * (saved.real.sum() + n * atol)
+            if 0 < delta < atol:
+                diag -= floor + delta
+                try:
+                    np.linalg.cholesky(h)
+                    continue
+                except np.linalg.LinAlgError:
+                    diag[:] = saved  # bit for bit: eigvalsh sees h as built
+        low = float(np.linalg.eigvalsh(h)[0])
+        above = above and low > floor
         if low < -atol:
             violations.append(Violation(psd_kind, where, -low))
-    return violations, least
+    return violations, above
 
 
 def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
@@ -389,15 +411,16 @@ def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
 
     Also reports faithfulness: every eigenvalue of every block above atol.
     """
-    violations, least = psd_violations(
+    violations, faithful = psd_violations(
         ((f"block {x}", d) for x, d in enumerate(s.densities)),
         atol,
         ("hermiticity", "positivity"),
+        atol,
     )
     total = sum(float(np.trace(d).real) for d in s.densities)
     if abs(total - 1.0) > atol:
         violations.append(Violation("normalization", "total trace", abs(total - 1.0)))
-    return ValidationReport(tuple(violations), faithful=bool(least > atol))
+    return ValidationReport(tuple(violations), faithful)
 
 
 def direct_sum_algebras(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:

@@ -132,7 +132,7 @@ class AlphaFamily:
         )
 
     def validate(self, atol: float = DEFAULT_ATOL) -> ValidationReport:
-        violations, least = psd_violations(
+        violations, faithful = psd_violations(
             (
                 (f"alpha ({y},{x})", a)
                 for y, row in enumerate(self.blocks)
@@ -141,13 +141,14 @@ class AlphaFamily:
             ),
             atol,
             ("hermiticity", "positivity"),
+            atol,
         )
         for y, tr in enumerate(self.row_traces()):
             if abs(tr - 1.0) > atol:
                 violations.append(
                     Violation("normalization", f"source block {y}", abs(tr - 1.0))
                 )
-        return ValidationReport(tuple(violations), faithful=bool(least > atol))
+        return ValidationReport(tuple(violations), faithful)
 
 
 @dataclass(frozen=True, eq=False)

@@ -514,6 +514,7 @@ def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
         ),
         atol,
         ("choi-hermiticity", "cp"),
+        -atol,
     )
     one = apply_cpu(q, q.source.identity())
     for y, n in enumerate(q.target.block_dims):

@@ -14,11 +14,15 @@ from ncstat.algebra import (
     hermitian_log,
     hermitian_pinv,
     partial_trace_left,
+    psd_violations,
     state_distance,
     support_projection,
     validate_state,
 )
 from ncstat.errors import AlgebraMismatchError, ShapeError
+from ncstat.generators import haar_unitary
+from ncstat.hypotheses import AlphaFamily, construct_optimal_hypothesis
+from ncstat.maps import CPUMap, StarHom, choi_from_function, validate_cpu
 
 
 def test_algebra_spec_dimensions():
@@ -253,11 +257,12 @@ def test_absolute_continuity_rejects_non_psd():
 
 
 def test_validate_state_reports_non_finite_entries():
-    # an inf on the diagonal is reported too, but inf - inf makes numpy warn
     for d in (
         [[np.nan, 0], [0, 0.5]],
         [[0.5, np.nan], [0, 0.5]],
         [[0.5, np.inf], [0, 0.5]],
+        [[np.inf, 0], [0, 0.5]],
+        [[0.5, np.inf], [np.inf, 0.5]],
     ):
         s = State(AlgebraSpec((2,)), (np.array(d),))
         report = validate_state(s)
@@ -270,3 +275,64 @@ def test_direct_sum_algebras():
     assert c.block_dims == (2, 1, 3)
 
 
+ATOL = 1e-9
+
+
+def _with_least_eigenvalue(rng, n, low, zeros=0):
+    """Hermitian n x n, eigenvalues low, `zeros` zeros and the rest in [0.1, 1]."""
+    vals = np.concatenate([[low], np.zeros(zeros), rng.uniform(0.1, 1.0, n - 1 - zeros)])
+    u = haar_unitary(rng, n)
+    return (u * vals) @ u.conj().T
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8, 16, 64, 256])
+@pytest.mark.parametrize(
+    "low, zeros",
+    [
+        (-ATOL * (1 + 1e-6), 0),
+        (-ATOL * (1 - 1e-6), 0),
+        (ATOL * (1 - 1e-6), 0),
+        (ATOL * (1 + 1e-6), 0),
+        (0.0, 0),
+        (0.0, "half"),
+    ],
+    ids=["below-minus-atol", "above-minus-atol", "below-atol", "above-atol", "zero", "rank-deficient"],
+)
+def test_psd_certificate_classifies_as_eigvalsh(n, low, zeros):
+    # the reference: eigvalsh on the Hermitian part, as psd_violations builds it
+    rng = np.random.default_rng([23, n])
+    m = _with_least_eigenvalue(rng, n, low, (n - 1) // 2 if zeros == "half" else zeros)
+    before = m.copy()
+    ref = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
+    for floor in (-ATOL, ATOL):
+        violations, above = psd_violations([("m", m)], ATOL, ("herm", "psd"), floor)
+        expected = [("psd", "m", -ref)] if ref < -ATOL else []
+        assert [(v.kind, v.where, v.residual) for v in violations] == expected
+        assert above == (ref > floor)
+    assert np.array_equal(m, before)
+
+
+def test_validate_cpu_runs_eigvalsh_only_where_cholesky_fails(monkeypatch):
+    # a valid disintegration along a hom (4)+(4) -> (16), each source block twice
+    rng = np.random.default_rng(5)
+    u = haar_unitary(rng, 16)
+    hom = StarHom(AlgebraSpec((4, 4)), AlgebraSpec((16,)), ((2,), (2,)), (u,))
+    xi = [_with_least_eigenvalue(rng, 4, 0.2) for _ in range(2)]
+    alphas = AlphaFamily(tuple((_with_least_eigenvalue(rng, 2, 0.3),) for _ in range(2)))
+    std = alphas.assemble(hom, [0.4 * xi[0] / np.trace(xi[0]), 0.6 * xi[1] / np.trace(xi[1])])
+    m = construct_optimal_hypothesis(hom, State(hom.target, (u @ std[0] @ u.conj().T,)))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: calls.append(1) or eigvalsh(a))
+    assert validate_cpu(m.cpu).ok
+    assert not calls
+
+    # the identity map next to the transpose map, whose Choi matrix has eigenvalue -1
+    q = CPUMap(
+        AlgebraSpec((3, 3)),
+        AlgebraSpec((3,)),
+        ((choi_from_function(lambda e: e, 3, 3), choi_from_function(lambda e: e.T, 3, 3)),),
+    )
+    cp = [v for v in validate_cpu(q).violations if v.kind == "cp"]
+    assert len(calls) == 1
+    assert [v.where for v in cp] == ["component (0,1)"] and abs(cp[0].residual - 1.0) < 1e-12

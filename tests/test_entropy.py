@@ -117,7 +117,12 @@ def test_relative_entropy_rejects_unusable_cutoff(cutoff):
 
 
 @pytest.mark.parametrize(
-    "d", [[[math.nan, 0.0], [0.0, 0.5]], [[0.5, math.inf], [0.0, 0.5]]]
+    "d",
+    [
+        [[math.nan, 0.0], [0.0, 0.5]],
+        [[0.5, math.inf], [0.0, 0.5]],
+        [[math.inf, 0.0], [0.0, 0.5]],
+    ],
 )
 def test_relative_entropy_rejects_non_finite_density(d):
     # a NaN density used to score 0.0 against the maximally mixed state

@@ -367,7 +367,8 @@ def test_validate_cpu_flags_transpose():
 
 
 @pytest.mark.parametrize(
-    "entry, bad", [((0, 0), np.nan), ((0, 1), np.nan), ((0, 1), np.inf)]
+    "entry, bad",
+    [((0, 0), np.nan), ((0, 1), np.nan), ((0, 1), np.inf), ((0, 0), np.inf), ((1, 1), -np.inf)],
 )
 def test_validate_cpu_reports_non_finite_choi_entry(entry, bad):
     # a non-finite entry fails Hermiticity and never reaches eigvalsh
