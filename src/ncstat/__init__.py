@@ -46,7 +46,6 @@ from .hypotheses import (
     compose_morphisms,
     construct_optimal_hypothesis,
     extract_alphas,
-    identity_morphism,
     is_optimal,
     rectify_morphism,
     rectify_pair,

@@ -31,6 +31,16 @@ def check_tolerance(name: str, value: float) -> float:
     return value
 
 
+def as_int(value: object, what: str) -> int:
+    """value as an int if it is a number equal to one; else a ShapeError naming what."""
+    # a bool is not a number here, and int() would cut 1.9 to 1 or "11" to 11
+    real = isinstance(value, (int, float, np.integer, np.floating))
+    if real and not isinstance(value, bool) and math.isfinite(value):
+        if value == int(value):
+            return int(value)
+    raise ShapeError(f"malformed {what}: {value!r} is not an integer")
+
+
 def frozen_matrix(m: object, shape: tuple[int, int], what: str) -> np.ndarray:
     """Read-only complex128 copy of m; a ShapeError naming what on a wrong shape."""
     a = np.array(m, dtype=np.complex128)
@@ -47,7 +57,7 @@ class AlgebraSpec:
     block_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.block_dims)
+        dims = tuple(as_int(d, "algebra block side") for d in self.block_dims)
         if not dims:
             raise ShapeError("an algebra needs at least one block")
         if any(d < 1 for d in dims):

@@ -4,8 +4,9 @@ Inputs are JSON files in the schema of the serialize module; commands that
 produce an object write JSON to stdout or to --output.  Exit status is 0 on
 success and 1 when a validation fails, a disintegration is obstructed, or a
 law check finds a violation.  An input that cannot be read or used (a
-missing file, malformed JSON, non-finite entries, an unclassifiable document,
-a document of the wrong kind, mismatched algebras, chain-rule --dims that are
+missing file, malformed JSON, non-finite or non-numeric entries, a side,
+multiplicity or index that is not an integer, an unclassifiable document, a
+document of the wrong kind, mismatched algebras, chain-rule --dims that are
 not three factors of the density's side) or a tolerance (--atol, --cutoff
 or NCSTAT_TOL) that is not a finite number >= 0 prints one
 ``ncstat: error: ...`` line to stderr and exits 2, the code argparse uses

@@ -57,8 +57,7 @@ def haar_unitary(rng: np.random.Generator, n: int) -> np.ndarray:
 
 def gen_algebra(rng: np.random.Generator, cfg: GeneratorConfig) -> AlgebraSpec:
     num = int(rng.integers(1, cfg.max_blocks + 1))
-    dims = tuple(int(d) for d in rng.integers(1, cfg.max_block_dim + 1, size=num))
-    return AlgebraSpec(dims)
+    return AlgebraSpec(rng.integers(1, cfg.max_block_dim + 1, size=num))
 
 
 def gen_element(rng: np.random.Generator, algebra: AlgebraSpec) -> AlgebraElement:

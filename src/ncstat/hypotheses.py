@@ -44,7 +44,6 @@ from .maps import (
     cpu_pushforward_state,
     hom_to_cpu,
     identity_cpu,
-    identity_hom,
     pushforward_state,
     strip_conjugators,
     validate_cpu,
@@ -214,12 +213,6 @@ def is_optimal(m: NCMorphism, atol: float = DEFAULT_ATOL) -> tuple[bool, float]:
     back = cpu_pushforward_state(m.source.state, m.cpu)
     residual = state_distance(back, m.target.state)
     return residual <= atol, residual
-
-
-def identity_morphism(obj: NCObject) -> NCMorphism:
-    return NCMorphism(
-        obj, obj, identity_hom(obj.algebra), identity_cpu(obj.algebra)
-    )
 
 
 def rectify_morphism(m: NCMorphism) -> RectificationResult:
@@ -442,10 +435,16 @@ def construct_optimal_hypothesis(
     segment layout, and tries the segmentwise tensor factorization there.  On
     success build_hypothesis_from_alphas assembles the morphism, which is
     optimal by construction; obstruction is reported as a NoDisintegration
-    value, not an exception.
+    value, not an exception.  A hom that drops a source block y has no CPU left
+    inverse: Q after F sends the unit of block y to 0, a defect of 1.
     """
     if target_state.algebra != hom.target:
         raise AlgebraMismatchError("state does not live on the hom target")
+    for y, row in enumerate(hom.mult):
+        if not any(row):
+            return NoDisintegration(
+                1.0, f"source block {y} has multiplicity 0 in every target block"
+            )
     omega_std = conjugate_state(
         target_state, AlgebraElement(hom.target, hom.conjugators)
     )

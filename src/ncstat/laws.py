@@ -16,7 +16,6 @@ import numpy as np
 
 from . import entropy as ent
 from .algebra import (
-    AlgebraElement,
     AlgebraSpec,
     State,
     absolutely_continuous,
@@ -261,17 +260,10 @@ def _law_pushforward_definitional(rng, cfg) -> TrialOutcome:
     f = gen_star_hom(rng, alg, cfg)
     omega = gen_state(f.target, cfg, rng)
     xi = pushforward_state(omega, f)
-    worst = 0.0
-    for y, n in enumerate(alg.block_dims):
-        direct = np.zeros((n, n), dtype=np.complex128)
-        for i in range(n):
-            for j in range(n):
-                unit = [np.zeros((d, d)) for d in alg.block_dims]
-                unit[y][j, i] = 1.0
-                direct[i, j] = omega.evaluate(
-                    apply_hom(f, AlgebraElement(alg, tuple(unit)))
-                )
-        worst = max(worst, float(np.linalg.norm(direct - xi.densities[y])))
+    direct = [np.zeros((n, n), dtype=np.complex128) for n in alg.block_dims]
+    for y, i, j, unit in alg.matrix_units():
+        direct[y][j, i] = omega.evaluate(apply_hom(f, unit))
+    worst = max(float(np.linalg.norm(d - x)) for d, x in zip(direct, xi.densities))
     return TrialOutcome(defect=worst)
 
 

@@ -30,6 +30,7 @@ from .algebra import (
     State,
     ValidationReport,
     Violation,
+    as_int,
     direct_sum_algebras,
     frozen_matrix,
     partial_trace_left,
@@ -64,7 +65,7 @@ class StarHom:
 
     def __post_init__(self):
         t, s = self.source.num_blocks, self.target.num_blocks
-        mult = tuple(tuple(int(c) for c in row) for row in self.mult)
+        mult = tuple(tuple(as_int(c, "mult") for c in row) for row in self.mult)
         if len(mult) != t or any(len(row) != s for row in mult):
             raise ShapeError(f"multiplicity matrix must be {t}x{s}")
         if any(c < 0 for row in mult for c in row):
@@ -95,10 +96,6 @@ class StarHom:
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "conjugators", tuple(conj))
         object.__setattr__(self, "segments", tuple(segments))
-
-    @property
-    def mult_array(self) -> np.ndarray:
-        return np.array(self.mult, dtype=int)
 
     def is_standard(self) -> bool:
         """Whether every conjugator is the identity within UNITARY_ATOL."""
@@ -149,34 +146,28 @@ def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
     """Composite outer after inner, again in multiplicity/conjugator form.
 
     Multiplicities multiply as integer matrices.  The composite conjugator per
-    target block is U_x @ W_x with its columns permuted, W_x the standard-form
-    expansion of the inner conjugators.  A column of W_x sits at the nested
-    label (middle block y, copy within outer, source block z, copy within
-    inner, internal index j); the composite's standard order sorts the labels
-    by z first, then y, the two copy indices and j.
+    target block x is U_x @ W_x with its columns permuted, W_x the standard-form
+    expansion of the inner conjugators over outer.segments[x].  The copies of
+    middle block y (side n_y) start every n_y columns of outer.segments[x][y],
+    and inside each, source block z fills inner.segments[y][z]; the composite's
+    standard order takes these runs by z first, then y, then copy.
     """
     if inner.target != outer.source:
         raise AlgebraMismatchError("inner target does not match outer source")
-    o_dims = inner.source.block_dims
     n_dims = inner.target.block_dims
-    c_in = inner.mult_array  # (z, y)
-    c_out = outer.mult_array  # (y, x)
-
+    by_source = tuple(zip(*inner.segments))  # by_source[z][y] = inner.segments[y][z]
     conjugators = []
-    for x in range(outer.target.num_blocks):
-        w = _standard_block(inner.conjugators, outer.segments[x])
-        labels = [
-            (z, y, k_out, k_in, j)
-            for y, n in enumerate(n_dims)
-            for k_out in range(c_out[y, x])
-            for z, o in enumerate(o_dims)
-            for k_in in range(c_in[z, y])
-            for j in range(o)
+    for u, segs in zip(outer.conjugators, outer.segments):
+        perm = [
+            i
+            for z_runs in by_source
+            for seg, run, n in zip(segs, z_runs, n_dims)
+            for lo in range(seg.start, seg.stop, n)
+            for i in range(lo + run.start, lo + run.stop)
         ]
-        perm = sorted(range(len(labels)), key=labels.__getitem__)
-        conjugators.append((outer.conjugators[x] @ w)[:, perm])
-
-    mult = tuple(tuple(int(c) for c in row) for row in c_in @ c_out)
+        w = _standard_block(inner.conjugators, segs)
+        conjugators.append((u @ w)[:, perm])
+    mult = (np.array(inner.mult) @ np.array(outer.mult)).tolist()
     return StarHom(inner.source, outer.target, mult, tuple(conjugators))
 
 
@@ -223,11 +214,8 @@ def unvec_element(algebra: AlgebraSpec, v: np.ndarray) -> AlgebraElement:
     v = np.asarray(v, dtype=np.complex128)
     if v.shape != (algebra.dim,):
         raise ShapeError(f"expected a vector of length {algebra.dim}, got {v.shape}")
-    blocks = []
-    off = 0
-    for d in algebra.block_dims:
-        blocks.append(v[off : off + d * d].reshape(d, d, order="F"))
-        off += d * d
+    parts = np.split(v, np.cumsum([d * d for d in algebra.block_dims[:-1]]))
+    blocks = (p.reshape(d, d, order="F") for p, d in zip(parts, algebra.block_dims))
     return AlgebraElement(algebra, tuple(blocks))
 
 
@@ -275,12 +263,12 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     # units[y][j, i] is the column (and stack index) of the matrix unit E_ij
     offsets = np.cumsum((0,) + tuple(n * n for n in n_dims))
     units = [off + np.arange(n * n).reshape(n, n) for off, n in zip(offsets, n_dims)]
-    stacks, row = [], 0
-    for m in tgt.block_dims:
-        # entry [a + m*b, u] is entry [a, b] of block x of the image of unit u
-        cols = raw.matrix[row : row + m * m].T.reshape(-1, m, m)
-        stacks.append(np.ascontiguousarray(cols.transpose(0, 2, 1)))
-        row += m * m
+    block_rows = np.split(raw.matrix, np.cumsum([m * m for m in tgt.block_dims[:-1]]))
+    # entry [a + m*b, u] of rows is entry [a, b] of this block of the image of unit u
+    stacks = [
+        np.ascontiguousarray(rows.T.reshape(-1, m, m).transpose(0, 2, 1))
+        for rows, m in zip(block_rows, tgt.block_dims)
+    ]
 
     unital_defect = raw.apply(src.identity()).distance(tgt.identity())
     if unital_defect > DEFAULT_ATOL:
@@ -308,9 +296,7 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     if mult_defect > DEFAULT_ATOL:
         raise NotAHomomorphismError("multiplicative", mult_defect)
 
-    s = tgt.num_blocks
-    t = src.num_blocks
-    mult = [[0] * s for _ in range(t)]
+    mult = [[0] * tgt.num_blocks for _ in n_dims]
     for y, n in enumerate(n_dims):
         for x, st in enumerate(stacks):
             tr = np.trace(st[np.diagonal(units[y])].sum(axis=0)).real / n
@@ -323,9 +309,8 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
             mult[y][x] = int(c)
 
     conjugators = []
-    for x, (m, st) in enumerate(zip(tgt.block_dims, stacks)):
-        u = np.zeros((m, m), dtype=np.complex128)
-        pos = 0
+    for x, st in enumerate(stacks):
+        cols = []
         for y, n in enumerate(n_dims):
             c = mult[y][x]
             if c == 0:
@@ -340,14 +325,11 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
                     f"rank of the unit-image projection in target block {x} is "
                     f"{range_vecs.shape[1]}, expected {c}",
                 )
-            for k in range(c):
-                v = range_vecs[:, k]
-                for j in range(n):
-                    u[:, pos] = st[units[y][0, j]] @ v
-                    pos += 1
-        conjugators.append(u)
+            # copy k of block y: the images of E_0j applied to range vector k
+            cols += [st[units[y][0, j]] @ v for v in range_vecs.T for j in range(n)]
+        conjugators.append(np.column_stack(cols))
 
-    result = StarHom(src, tgt, tuple(tuple(r) for r in mult), tuple(conjugators))
+    result = StarHom(src, tgt, mult, tuple(conjugators))
     # column norms of the difference are Frobenius distances of unit images
     recon = float(
         np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))

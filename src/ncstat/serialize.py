@@ -13,7 +13,7 @@ from typing import Any
 
 import numpy as np
 
-from .algebra import AlgebraElement, AlgebraSpec, State
+from .algebra import AlgebraElement, AlgebraSpec, State, as_int
 from .errors import ShapeError
 from .hypotheses import NCMorphism, NCObject
 from .maps import CPUMap, StarHom
@@ -27,8 +27,10 @@ def matrix_to_json(m: np.ndarray) -> dict:
 
 
 def matrix_from_json(doc: dict) -> np.ndarray:
-    re = np.asarray(doc["re"], dtype=float)
-    im = np.asarray(doc.get("im", np.zeros_like(re)), dtype=float)
+    re = np.asarray(doc["re"])
+    im = np.asarray(doc.get("im", np.zeros(re.shape)))
+    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+        raise ShapeError("malformed matrix: entries must be numbers")
     if re.shape != im.shape or re.ndim != 2:
         raise ShapeError("re/im parts disagree or are not matrices")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
@@ -43,7 +45,7 @@ def algebra_to_json(a: AlgebraSpec) -> dict:
 
 
 def algebra_from_json(doc: dict) -> AlgebraSpec:
-    return AlgebraSpec(tuple(int(d) for d in doc["blocks"]))
+    return AlgebraSpec(doc["blocks"])
 
 
 def element_to_json(e: AlgebraElement) -> dict:
@@ -83,7 +85,7 @@ def hom_from_json(doc: dict) -> StarHom:
     return StarHom(
         source=algebra_from_json(doc["source"]),
         target=algebra_from_json(doc["target"]),
-        mult=tuple(tuple(int(c) for c in row) for row in doc["mult"]),
+        mult=doc["mult"],
         conjugators=tuple(matrix_from_json(u) for u in doc["conjugators"]),
     )
 
@@ -107,7 +109,7 @@ def cpu_from_json(doc: dict) -> CPUMap:
         [None] * source.num_blocks for _ in range(target.num_blocks)
     ]
     for entry in doc["components"]:
-        y, x = int(entry["y"]), int(entry["x"])
+        y, x = (as_int(entry[k], f"CPU component index {k}") for k in "yx")
         if not (0 <= y < target.num_blocks and 0 <= x < source.num_blocks):
             raise ShapeError(f"CPU component index out of range: y={y} x={x}")
         if grid[y][x] is not None:

@@ -232,6 +232,38 @@ def test_disintegrate_obstruction(tmp_path, capsys):
     assert abs(doc["residual"] - 0.2 * math.sqrt(2)) < 1e-12
 
 
+def _dropping_hom(mult) -> dict:
+    return {
+        "source": {"blocks": [1, 1]},
+        "target": {"blocks": [1]},
+        "mult": mult,
+        "conjugators": [matrix_to_json(np.eye(1))],
+    }
+
+
+def test_disintegrate_hom_dropping_a_source_block_is_obstruction(tmp_path, capsys):
+    ph, po = str(tmp_path / "hom.json"), str(tmp_path / "omega.json")
+    write_json(ph, _dropping_hom([[1], [0]]))
+    write_json(po, state_to_json(State(AlgebraSpec((1,)), (np.eye(1),))))
+    assert main(["disintegrate", ph, po]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["no_disintegration"] is True
+    assert math.isfinite(doc["residual"])
+    assert "source block 1" in doc["detail"]
+
+
+def test_non_integral_multiplicity_and_side_are_rejected(workdir, tmp_path, capsys):
+    p = str(tmp_path / "hom.json")
+    write_json(p, _dropping_hom([[1.9], [0]]))
+    assert main(["validate", p]) == 1
+    assert capsys.readouterr().out == "invalid: malformed mult: 1.9 is not an integer\n"
+    bad = state_to_json(State(AlgebraSpec((2,)), (np.eye(2) / 2,)))
+    bad["algebra"]["blocks"] = [2.7]
+    write_json(p, bad)
+    assert main(["disintegrate", workdir["hom.json"], p]) == 2
+    assert "algebra block side: 2.7" in _one_error_line(capsys)
+
+
 def test_chain_rule_command(workdir, capsys):
     assert main(["chain-rule", workdir["rho.json"], "--dims", "2,2,2"]) == 0
     out = capsys.readouterr().out

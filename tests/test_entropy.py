@@ -28,13 +28,13 @@ from ncstat.generators import (
 )
 from ncstat.hypotheses import (
     AlphaFamily,
+    NCMorphism,
     build_hypothesis_from_alphas,
-    identity_morphism,
     is_optimal,
     rectify_pair,
     validate_morphism,
 )
-from ncstat.maps import StarHom
+from ncstat.maps import StarHom, identity_cpu, identity_hom
 
 CFG = GeneratorConfig(seed=2024, trials=10)
 
@@ -290,7 +290,8 @@ def test_functoriality_infinite_regime_reported():
     fam = AlphaFamily(((np.diag([1.0, 0.0]),),))
     outer = build_hypothesis_from_alphas(hom, xi, fam, target_state=omega)
     assert validate_morphism(outer).ok
-    inner = identity_morphism(outer.source)
+    obj, alg = outer.source, outer.source.algebra
+    inner = NCMorphism(obj, obj, identity_hom(alg), identity_cpu(alg))
     result = functoriality_defect(inner, outer)
     assert isinstance(result, InfiniteRegimeReport)
     assert math.isinf(result.re_outer) and result.re_inner == 0.0

@@ -20,7 +20,6 @@ from ncstat.hypotheses import (
     compose_morphisms,
     construct_optimal_hypothesis,
     extract_alphas,
-    identity_morphism,
     is_optimal,
     rectify_morphism,
     rectify_pair,
@@ -36,6 +35,8 @@ from ncstat.maps import (
     choi_from_function,
     compose_cpu,
     cpu_pushforward_state,
+    identity_cpu,
+    identity_hom,
     strip_conjugators,
 )
 from ncstat.entropy import re_functor
@@ -114,7 +115,8 @@ def test_generated_morphism_is_valid():
 def test_identity_morphism_is_optimal():
     alg = AlgebraSpec((2, 1))
     s = State(alg, (np.eye(2) / 3, np.eye(1) / 3))
-    m = identity_morphism(NCObject(s))
+    obj = NCObject(s)
+    m = NCMorphism(obj, obj, identity_hom(alg), identity_cpu(alg))
     assert validate_morphism(m).ok
     flag, residual = is_optimal(m)
     assert flag and residual < 1e-14
@@ -271,6 +273,15 @@ def test_disintegration_blocked_by_coherence():
     result = construct_optimal_hypothesis(f, omega)
     assert isinstance(result, NoDisintegration)
     assert abs(result.residual - 0.2 * math.sqrt(2)) < 1e-12
+
+
+def test_disintegration_of_a_hom_dropping_a_source_block_is_obstructed():
+    # source block 1 has no copy in the target, so no CPU map is a left inverse
+    hom = StarHom(AlgebraSpec((1, 1)), AlgebraSpec((1,)), ((1,), (0,)), (np.eye(1),))
+    result = construct_optimal_hypothesis(hom, State(hom.target, (np.eye(1),)))
+    assert isinstance(result, NoDisintegration)
+    assert result.residual == 1.0
+    assert "source block 1" in result.detail
 
 
 def test_disintegration_classical_success():

@@ -285,6 +285,47 @@ def test_hom_raw_roundtrip_random():
         assert apply_hom(back, e).distance(apply_hom(f, e)) < 1e-10
 
 
+def _reference_raw_conjugators(raw: RawLinearMap, mult) -> list[np.ndarray]:
+    """The conjugators hom_from_raw assembles, written column by column into a
+    zero-filled matrix per target block at a running position, with the unit
+    images cut out of the raw rows at a running row offset."""
+    n_dims = raw.source.block_dims
+    offsets = np.cumsum((0,) + tuple(n * n for n in n_dims))
+    units = [off + np.arange(n * n).reshape(n, n) for off, n in zip(offsets, n_dims)]
+    stacks, row = [], 0
+    for m in raw.target.block_dims:
+        cols = raw.matrix[row : row + m * m].T.reshape(-1, m, m)
+        stacks.append(np.ascontiguousarray(cols.transpose(0, 2, 1)))
+        row += m * m
+    out = []
+    for x, (m, st) in enumerate(zip(raw.target.block_dims, stacks)):
+        u = np.zeros((m, m), dtype=np.complex128)
+        pos = 0
+        for y, n in enumerate(n_dims):
+            if mult[y][x] == 0:
+                continue
+            proj = st[units[y][0, 0]]
+            vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
+            range_vecs = vecs[:, vals > 0.5]
+            for k in range(mult[y][x]):
+                v = range_vecs[:, k]
+                for j in range(n):
+                    u[:, pos] = st[units[y][0, j]] @ v
+                    pos += 1
+        out.append(u)
+    return out
+
+
+def test_hom_from_raw_conjugators_match_column_by_column_reference():
+    cfg = GeneratorConfig(seed=202, trials=100, max_block_dim=6)
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        raw = hom_to_raw(gen_star_hom(rng, gen_algebra(rng, cfg), cfg))
+        got = hom_from_raw(raw)
+        for a, b in zip(got.conjugators, _reference_raw_conjugators(raw, got.mult)):
+            assert np.array_equal(a, b)
+
+
 def _reference_mult_defect(raw: RawLinearMap) -> float:
     # worst ||F(E_ij) F(E_kl) - delta_jk F(E_il)|| over all pairs of matrix units
     images = {(y, i, j): raw.apply(e) for y, i, j, e in raw.source.matrix_units()}
@@ -531,8 +572,8 @@ def _reference_composite_conjugators(outer, inner):
     locating each label by hand-built segment offsets inside W_x."""
     o_dims = inner.source.block_dims
     n_dims = inner.target.block_dims
-    c_in = inner.mult_array
-    c_out = outer.mult_array
+    c_in = np.array(inner.mult)
+    c_out = np.array(outer.mult)
     out = []
     for x, m in enumerate(outer.target.block_dims):
         w = np.zeros((m, m), dtype=complex)

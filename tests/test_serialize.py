@@ -159,6 +159,15 @@ def _cpu_with_repeated_entry():
     return doc
 
 
+def _hom_doc(mult):
+    return {
+        "source": {"blocks": [1, 1]},
+        "target": {"blocks": [1]},
+        "mult": mult,
+        "conjugators": [{"re": [[1.0]]}],
+    }
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -169,11 +178,31 @@ def _cpu_with_repeated_entry():
         (_cpu_with_entry(7), "index out of range"),
         (_cpu_with_last_row_at(-1), "index out of range"),
         (_cpu_with_repeated_entry(), "repeated CPU component y=0 x=0"),
+        # a side, multiplicity or index that is not an integer, and a matrix
+        # entry that is not a number
+        ({"blocks": "11"}, "algebra block side: '1' is not"),
+        ({"blocks": [2.7]}, "algebra block side: 2.7 is not"),
+        ({"blocks": [True]}, "algebra block side: True is not"),
+        (_hom_doc([[1.9], [0]]), "mult: 1.9 is not"),
+        (_hom_doc([["1"], [0]]), "mult: '1' is not"),
+        (_cpu_with_entry(0.5), "CPU component index y: 0.5 is not"),
+        ({"re": [["1"]]}, "entries must be numbers"),
+        ({"re": [[1.0]], "im": [[True]]}, "entries must be numbers"),
     ],
 )
 def test_load_any_turns_malformed_documents_into_shape_errors(doc, message):
     with pytest.raises(ShapeError, match=message):
         load_any(through_json(doc))
+
+
+def test_integral_floats_load_as_integers():
+    assert algebra_from_json({"blocks": [2.0, 1]}) == AlgebraSpec((2, 1))
+    f = hom_from_json(_hom_doc([[1.0], [0.0]]))
+    assert f.mult == ((1,), (0,)) and type(f.mult[0][0]) is int
+    q = gen_morphism(CFG, rng_for(CFG, 3)).cpu
+    doc = through_json(cpu_to_json(q))
+    doc["components"][0]["y"] = 0.0
+    assert np.array_equal(cpu_from_json(doc).components[0][0], q.components[0][0])
 
 
 def test_matrix_roundtrip_keeps_signed_zeros():
