@@ -277,9 +277,11 @@ def _require_psd(eig: HermitianEigen) -> None:
         )
 
 
-def _spectral_apply(m: np.ndarray, fn) -> np.ndarray:
-    """fn of a Hermitian PSD matrix on its support, the cutoff relative to its top."""
-    eig = hermitian_eigen(m)
+def _spectral_apply(eig: HermitianEigen, fn) -> np.ndarray:
+    """fn of a Hermitian PSD matrix on its support, the cutoff relative to its top.
+
+    eig is the matrix's eigendecomposition, such as a cached State.spectra entry.
+    """
     _require_psd(eig)
     top = eig.eigenvalues[-1] if eig.eigenvalues.size else 0.0
     vals, vecs = supported_spectrum(eig, top)
@@ -299,17 +301,17 @@ def hermitian_log(m: np.ndarray) -> np.ndarray:
     treated as zero and contribute zero to the result (the 0 log 0 = 0
     convention).
     """
-    return _spectral_apply(m, np.log)
+    return _spectral_apply(hermitian_eigen(m), np.log)
 
 
 def support_projection(m: np.ndarray) -> np.ndarray:
     """Orthogonal projection onto eigenspaces above the relative cutoff."""
-    return _spectral_apply(m, np.ones_like)
+    return _spectral_apply(hermitian_eigen(m), np.ones_like)
 
 
 def hermitian_pinv(m: np.ndarray) -> np.ndarray:
     """Pseudo-inverse of a Hermitian PSD matrix with a relative spectral cutoff."""
-    return _spectral_apply(m, lambda v: 1.0 / v)
+    return _spectral_apply(hermitian_eigen(m), lambda v: 1.0 / v)
 
 
 def absolutely_continuous(

@@ -164,7 +164,10 @@ def _cmd_chain_rule(args) -> int:
     from .entropy import chain_rule_report
 
     rho = _load(args.density, np.ndarray, "a density matrix")
-    dims = tuple(int(d) for d in args.dims.split(","))
+    try:
+        dims = tuple(int(d) for d in args.dims.split(","))
+    except ValueError:
+        raise ShapeError(f"--dims takes integers, got {args.dims!r}") from None
     if len(dims) != 3:
         raise ShapeError("--dims must name three tensor factors, e.g. 2,2,2")
     report = chain_rule_report(rho, dims)

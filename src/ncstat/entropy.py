@@ -22,7 +22,9 @@ from .algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
     State,
+    _spectral_apply,
     absolutely_continuous,
+    as_int,
     direct_sum_algebras,
     hermitian_log,
     partial_trace_left,
@@ -101,7 +103,7 @@ def conditional_entropy(
     """
     if s.algebra.num_blocks != 1:
         raise ShapeError("conditional entropy needs a single-block algebra")
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_int(d, "tensor factor") for d in dims)
     if not 0 < num_conditioned < len(dims):
         raise ShapeError("num_conditioned must leave at least one factor on each side")
     if math.prod(dims) != s.algebra.block_dims[0]:
@@ -205,40 +207,31 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
         raise ShapeError("re_expansions expects a rectified (standard-form) pair")
     alphas = extract_alphas(f)
     omega = f.target.state
-    xi = f.source.state
     mid = cpu_pushforward_state(g.source.state, g.cpu)  # intermediate pushback
-    dims_src = f.hom.source.block_dims
+    # logarithms read off the cached spectra, which relative_entropy reuses
+    log_xi = [_spectral_apply(e, np.log) for e in f.source.state.spectra]
+    log_mid = [_spectral_apply(e, np.log) for e in mid.spectra]
 
-    s_omega = von_neumann_entropy(omega)
-    log_xi = [hermitian_log(d) for d in xi.densities]
-    log_mid = [hermitian_log(d) for d in mid.densities]
-
-    term_alpha = 0.0
-    term_xi = 0.0
-    term_mid = 0.0
+    term_alpha = term_xi = term_mid = 0.0
     for x, (d, segs) in enumerate(zip(omega.densities, f.hom.segments)):
-        for y, (s, n) in enumerate(zip(segs, dims_src)):
+        for y, (s, n) in enumerate(zip(segs, f.hom.source.block_dims)):
             c = f.hom.mult[y][x]
             if c == 0:
                 continue
             seg = d[s, s]
             log_alpha = hermitian_log(alphas.blocks[y][x])
-            term_alpha += float(
-                np.trace(seg @ np.kron(log_alpha, np.eye(n))).real
-            )
+            term_alpha += float(np.trace(seg @ np.kron(log_alpha, np.eye(n))).real)
             reduced = partial_trace_left(seg, c, n)
             term_xi += float(np.trace(reduced @ log_xi[y]).real)
             term_mid += float(np.trace(reduced @ log_mid[y]).real)
 
-    rhs_outer = -s_omega - term_alpha - term_xi
-    rhs_inner = term_xi - term_mid
-    rhs_composite = -s_omega - term_alpha - term_mid
+    s_omega = von_neumann_entropy(omega)
     return ExpansionCheck(
-        rhs_outer=rhs_outer,
-        rhs_inner=rhs_inner,
-        rhs_composite=rhs_composite,
+        rhs_outer=-s_omega - term_alpha - term_xi,
+        rhs_inner=term_xi - term_mid,
+        rhs_composite=-s_omega - term_alpha - term_mid,
         direct_outer=re_functor(f),
-        direct_inner=re_functor(g),
+        direct_inner=relative_entropy(g.target.state, mid),
         direct_composite=re_functor(compose_morphisms(g, f)),
     )
 
@@ -277,7 +270,7 @@ def chain_rule_triple(
     dims is (d_first, d_second, d_third); the inner morphism includes the third
     factor into the last two, the outer includes the last two into all three.
     """
-    da, db, dc = (int(d) for d in dims)
+    da, db, dc = (as_int(d, "tensor factor") for d in dims)
     rho_abc = np.asarray(rho_abc, dtype=np.complex128)
     if rho_abc.shape != (da * db * dc, da * db * dc):
         raise ShapeError(
@@ -315,7 +308,7 @@ def chain_rule_report(rho_abc: np.ndarray, dims: Sequence[int]) -> ChainRuleRepo
     plus the log dimension of the included factor must match the relative
     entropy of the corresponding tensor-inclusion hypothesis.
     """
-    da, db, dc = (int(d) for d in dims)
+    da, db, dc = (as_int(d, "tensor factor") for d in dims)
     g, f = chain_rule_triple(rho_abc, dims)
     omega = f.target.state
     xi = f.source.state

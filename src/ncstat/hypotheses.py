@@ -290,15 +290,16 @@ def _factor_state(
     hom: StarHom,
     refs: tuple[np.ndarray, ...],
     atol: float,
-):
+) -> AlphaFamily | NoDisintegration:
     """Factor every block of s as blockdiag_y(alpha_yx kron refs[y]).
 
     Only the segment layout of hom (multiplicities and block sides) is read,
     so s must already be in the standard frame; the conjugators are ignored.
-    Returns (alpha family, residual, ok flag).  Off-diagonal segments are
-    compared against zero at absolute atol; diagonal segments must factor
-    within relative atol.  A weightless reference leaves its alpha row
-    unconstrained, and the uniform choice is written there.
+    Returns the alpha family, or a NoDisintegration carrying the Frobenius norm
+    of all segment residuals.  Off-diagonal segments are compared against zero
+    at absolute atol; diagonal segments must factor within relative atol.  A
+    weightless reference leaves its alpha row unconstrained, and the uniform
+    choice is written there.
     """
     check_tolerance("atol", atol)
     # one pseudo-inverse and its normalizer per weighted source block with a copy
@@ -340,7 +341,11 @@ def _factor_state(
             if r > atol * max(np.linalg.norm(seg), atol):
                 ok = False
             rows[y][x] = alpha
-    return AlphaFamily(rows), float(np.sqrt(sq_residual)), ok
+    if not ok:
+        r = float(np.sqrt(sq_residual))
+        detail = f"state does not factor through the segment layout (residual {r:.3e})"
+        return NoDisintegration(r, detail)
+    return AlphaFamily(rows)
 
 
 def extract_alphas(m: NCMorphism) -> AlphaFamily:
@@ -356,14 +361,9 @@ def extract_alphas(m: NCMorphism) -> AlphaFamily:
     if not m.hom.is_standard():
         raise ShapeError("extract_alphas expects a standard-form homomorphism")
     back = cpu_pushforward_state(m.source.state, m.cpu)
-    family, residual, ok = _factor_state(
-        back, m.hom, m.source.state.densities, DEFAULT_ATOL
-    )
-    if not ok:
-        raise FactorizationError(
-            residual,
-            f"pushed-back state does not factor segmentwise (residual {residual:.3e})",
-        )
+    family = _factor_state(back, m.hom, m.source.state.densities, DEFAULT_ATOL)
+    if isinstance(family, NoDisintegration):
+        raise FactorizationError(family.residual, family.detail)
     row_defect = float(np.max(np.abs(family.row_traces() - 1.0)))
     if row_defect > 10 * DEFAULT_ATOL:
         raise FactorizationError(
@@ -449,13 +449,9 @@ def construct_optimal_hypothesis(
         target_state, AlgebraElement(hom.target, hom.conjugators)
     )
     xi = pushforward_state(target_state, hom)
-    family, residual, ok = _factor_state(omega_std, hom, xi.densities, atol)
-    if not ok:
-        return NoDisintegration(
-            residual,
-            "target state does not factor through the segment layout "
-            f"(residual {residual:.3e})",
-        )
+    family = _factor_state(omega_std, hom, xi.densities, atol)
+    if isinstance(family, NoDisintegration):
+        return family
     return build_hypothesis_from_alphas(
         hom, xi, family, target_state=target_state, atol=atol
     )

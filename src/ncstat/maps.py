@@ -210,15 +210,6 @@ def vec_element(a: AlgebraElement) -> np.ndarray:
     return np.concatenate([b.flatten(order="F") for b in a.blocks])
 
 
-def unvec_element(algebra: AlgebraSpec, v: np.ndarray) -> AlgebraElement:
-    v = np.asarray(v, dtype=np.complex128)
-    if v.shape != (algebra.dim,):
-        raise ShapeError(f"expected a vector of length {algebra.dim}, got {v.shape}")
-    parts = np.split(v, np.cumsum([d * d for d in algebra.block_dims[:-1]]))
-    blocks = (p.reshape(d, d, order="F") for p, d in zip(parts, algebra.block_dims))
-    return AlgebraElement(algebra, tuple(blocks))
-
-
 @dataclass(frozen=True, eq=False)
 class RawLinearMap:
     """A linear map between algebras as a dense matrix on vectorized elements."""
@@ -232,11 +223,6 @@ class RawLinearMap:
         m = frozen_matrix(self.matrix, shape, "raw matrix")
         object.__setattr__(self, "matrix", m)
 
-    def apply(self, a: AlgebraElement) -> AlgebraElement:
-        if a.algebra != self.source:
-            raise AlgebraMismatchError("element does not live on the source algebra")
-        return unvec_element(self.target, self.matrix @ vec_element(a))
-
 
 def hom_to_raw(f: StarHom) -> RawLinearMap:
     cols = [
@@ -249,11 +235,13 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     """Recover multiplicities and conjugators from a raw unital *-homomorphism.
 
     Verifies the homomorphism axioms on the matrix-unit basis first, then reads
-    multiplicities off the traces of the image projections and assembles each
-    conjugator from an orthonormal basis of the range of the image of the
-    first matrix unit of each source block.  The unit images are the columns
-    of the raw matrix, stacked per target block; multiplicativity is checked
-    one left unit at a time, with one batched product per target block.
+    mult[y][x] off the trace of the image of the unit of source block y in
+    target block x, and assembles each conjugator from an orthonormal basis of
+    the range of the image of the first matrix unit of each source block.  The
+    unit images are the columns of the raw matrix, stacked per target block;
+    multiplicativity is checked one left unit at a time, with one batched
+    product per target block, and unitality is the Frobenius distance of the
+    sum of the unit images over y from the identity, over all x.
     The axioms and the integrality of the multiplicities, which with unitality
     make them fill every target block, are checked at DEFAULT_ATOL, the
     reconstruction from the assembled conjugators at 1e-7.
@@ -270,7 +258,10 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
         for rows, m in zip(block_rows, tgt.block_dims)
     ]
 
-    unital_defect = raw.apply(src.identity()).distance(tgt.identity())
+    # ones[y][x] is the image of the unit of source block y in target block x
+    ones = [[st[np.diagonal(idx)].sum(axis=0) for st in stacks] for idx in units]
+    image = AlgebraElement(tgt, tuple(sum(col) for col in zip(*ones)))
+    unital_defect = image.distance(tgt.identity())
     if unital_defect > DEFAULT_ATOL:
         raise NotAHomomorphismError("unital", unital_defect)
 
@@ -298,8 +289,8 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
 
     mult = [[0] * tgt.num_blocks for _ in n_dims]
     for y, n in enumerate(n_dims):
-        for x, st in enumerate(stacks):
-            tr = np.trace(st[np.diagonal(units[y])].sum(axis=0)).real / n
+        for x, one in enumerate(ones[y]):
+            tr = np.trace(one).real / n
             c = round(tr)
             if abs(tr - c) > DEFAULT_ATOL:
                 raise NonIntegralMultiplicityError(

@@ -26,11 +26,19 @@ def matrix_to_json(m: np.ndarray) -> dict:
     return {"re": arr.real.tolist(), "im": arr.imag.tolist()}
 
 
-def matrix_from_json(doc: dict) -> np.ndarray:
-    re = np.asarray(doc["re"])
-    im = np.asarray(doc.get("im", np.zeros(re.shape)))
-    if re.dtype.kind not in "iuf" or im.dtype.kind not in "iuf":
+def _numbers(part: object) -> np.ndarray:
+    # numpy holds a JSON integer wider than 64 bits as an object; bool is no number
+    a = np.asarray(part)
+    if a.dtype == object and all(type(v) in (int, float) for v in a.flat):
+        a = a.astype(float)  # OverflowError past the largest double
+    if a.dtype.kind not in "iuf":
         raise ShapeError("malformed matrix: entries must be numbers")
+    return a
+
+
+def matrix_from_json(doc: dict) -> np.ndarray:
+    re = _numbers(doc["re"])
+    im = _numbers(doc.get("im", np.zeros(re.shape)))
     if re.shape != im.shape or re.ndim != 2:
         raise ShapeError("re/im parts disagree or are not matrices")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):

@@ -277,6 +277,21 @@ def test_chain_rule_rejects_bad_dims(workdir, capsys):
     assert "three tensor factors" in _one_error_line(capsys)
 
 
+def test_chain_rule_names_dims_on_a_non_integer_factor(workdir, capsys):
+    assert main(["chain-rule", workdir["rho.json"], "--dims", "1.5,2,2"]) == 2
+    assert "--dims" in _one_error_line(capsys)
+
+
+def test_chain_rule_reads_integers_wider_than_64_bits(tmp_path, capsys):
+    path = str(tmp_path / "big.json")
+    write_json(path, {"re": [[10**20]]})
+    assert main(["chain-rule", path, "--dims", "1,1,1"]) == 0
+    assert "chain rule" in capsys.readouterr().out
+    write_json(path, {"re": [[10**400]]})
+    assert main(["chain-rule", path, "--dims", "1,1,1"]) == 2
+    assert "too large" in _one_error_line(capsys)
+
+
 def test_check_command(tmp_path, capsys):
     out = str(tmp_path / "report.json")
     assert main(["check", "--trials", "3", "--seed", "5", "--json", out]) == 0

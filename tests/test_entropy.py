@@ -1,9 +1,17 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraSpec, State, absolutely_continuous
+from ncstat import algebra
+from ncstat.algebra import (
+    DEFAULT_CUTOFF,
+    AlgebraSpec,
+    State,
+    absolutely_continuous,
+    partial_trace_left,
+)
 from ncstat.entropy import (
     InfiniteRegimeReport,
     chain_rule_report,
@@ -17,7 +25,7 @@ from ncstat.entropy import (
     tensor_inclusion_morphism,
     von_neumann_entropy,
 )
-from ncstat.errors import AlgebraMismatchError
+from ncstat.errors import AlgebraMismatchError, ShapeError
 from ncstat.generators import (
     GeneratorConfig,
     gen_composable_pair,
@@ -30,11 +38,13 @@ from ncstat.hypotheses import (
     AlphaFamily,
     NCMorphism,
     build_hypothesis_from_alphas,
+    compose_morphisms,
+    extract_alphas,
     is_optimal,
     rectify_pair,
     validate_morphism,
 )
-from ncstat.maps import StarHom, identity_cpu, identity_hom
+from ncstat.maps import StarHom, cpu_pushforward_state, identity_cpu, identity_hom
 
 CFG = GeneratorConfig(seed=2024, trials=10)
 
@@ -302,6 +312,82 @@ def test_re_expansions_on_rectified_pair():
     g, f = rectify_pair(inner, outer).morphisms
     check = re_expansions(g, f)
     assert max(check.defects) < 1e-8
+
+
+def _reference_log(m):
+    """Matrix logarithm on the support, one eigendecomposition of m per call."""
+    vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
+    top = vals[-1] if vals.size else 0.0
+    keep = vals > max(DEFAULT_CUTOFF * top, 0.0)
+    return (vecs[:, keep] * np.log(vals[keep])) @ vecs[:, keep].conj().T
+
+
+def _reference_expansions(g, f):
+    """re_expansions as it was computed with a logarithm per density and
+    re_functor for every direct value, in ExpansionCheck field order."""
+    alphas = extract_alphas(f)
+    omega, xi = f.target.state, f.source.state
+    mid = cpu_pushforward_state(g.source.state, g.cpu)
+    log_xi = [_reference_log(d) for d in xi.densities]
+    log_mid = [_reference_log(d) for d in mid.densities]
+    term_alpha = term_xi = term_mid = 0.0
+    for x, (d, segs) in enumerate(zip(omega.densities, f.hom.segments)):
+        for y, (s, n) in enumerate(zip(segs, f.hom.source.block_dims)):
+            c = f.hom.mult[y][x]
+            if c == 0:
+                continue
+            seg = d[s, s]
+            log_alpha = _reference_log(alphas.blocks[y][x])
+            term_alpha += float(np.trace(seg @ np.kron(log_alpha, np.eye(n))).real)
+            reduced = partial_trace_left(seg, c, n)
+            term_xi += float(np.trace(reduced @ log_xi[y]).real)
+            term_mid += float(np.trace(reduced @ log_mid[y]).real)
+    s_omega = von_neumann_entropy(omega)
+    return (
+        -s_omega - term_alpha - term_xi,
+        term_xi - term_mid,
+        -s_omega - term_alpha - term_mid,
+        re_functor(f),
+        re_functor(g),
+        re_functor(compose_morphisms(g, f)),
+    )
+
+
+def test_re_expansions_match_the_reference_bit_for_bit():
+    cfg = GeneratorConfig(seed=77, trials=60)
+    for t in range(cfg.trials):
+        inner, outer = gen_composable_pair(cfg, rng_for(cfg, t))
+        g, f = rectify_pair(inner, outer).morphisms
+        assert dataclasses.astuple(re_expansions(g, f)) == _reference_expansions(g, f)
+
+
+def test_re_expansions_decomposes_each_middle_density_once(monkeypatch):
+    inner, outer = gen_composable_pair(CFG, rng_for(CFG, 3))
+    g, f = rectify_pair(inner, outer).morphisms
+    mid = cpu_pushforward_state(g.source.state, g.cpu)
+    seen = []
+    real = algebra.hermitian_eigen
+
+    def spy(m):
+        seen.append(np.array(m))
+        return real(m)
+
+    monkeypatch.setattr(algebra, "hermitian_eigen", spy)
+    re_expansions(g, f)
+    for d in mid.densities:
+        assert sum(np.array_equal(m, d) for m in seen) == 1
+
+
+def test_tensor_factors_must_be_integers():
+    rho = np.eye(8) / 8
+    s = State(AlgebraSpec((8,)), (rho,))
+    with pytest.raises(ShapeError, match="tensor factor: 2.9"):
+        conditional_entropy(s, (2.9, 4))
+    for dims in [(2.7, 2, 2), (True, 4, 2), ("2", "2", "2")]:
+        with pytest.raises(ShapeError, match="tensor factor"):
+            chain_rule_report(rho, dims)
+    assert conditional_entropy(s, (2.0, 4)) == conditional_entropy(s, (2, 4))
+    assert chain_rule_report(rho, (2.0, 2, 2)) == chain_rule_report(rho, (2, 2, 2))
 
 
 def test_affinity_spot():

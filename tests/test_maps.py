@@ -34,7 +34,6 @@ from ncstat.maps import (
     identity_hom,
     pushforward_state,
     strip_conjugators,
-    unvec_element,
     validate_cpu,
     vec_element,
 )
@@ -217,7 +216,9 @@ def test_vec_roundtrip():
     a = AlgebraElement(alg, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
     v = vec_element(a)
     assert v.shape == (alg.dim,)
-    assert unvec_element(alg, v).distance(a) == 0.0
+    # column-major within each block, blocks concatenated in order
+    assert np.array_equal(v[:4].reshape(2, 2, order="F"), a.blocks[0])
+    assert np.array_equal(v[4:], a.blocks[1].ravel())
 
 
 def test_choi_identity_and_transpose():
@@ -328,7 +329,20 @@ def test_hom_from_raw_conjugators_match_column_by_column_reference():
 
 def _reference_mult_defect(raw: RawLinearMap) -> float:
     # worst ||F(E_ij) F(E_kl) - delta_jk F(E_il)|| over all pairs of matrix units
-    images = {(y, i, j): raw.apply(e) for y, i, j, e in raw.source.matrix_units()}
+    # column k of the raw matrix is the vec of the image of the k-th matrix unit
+    tgt = raw.target
+    splits = np.cumsum([m * m for m in tgt.block_dims[:-1]])
+
+    def unvec(col):
+        parts = np.split(col, splits)
+        return AlgebraElement(
+            tgt, tuple(p.reshape(m, m, order="F") for p, m in zip(parts, tgt.block_dims))
+        )
+
+    images = {
+        (y, i, j): unvec(col)
+        for (y, i, j, _), col in zip(raw.source.matrix_units(), raw.matrix.T)
+    }
     worst = 0.0
     for (y, i, j), left in images.items():
         for (yp, k, l), right in images.items():
@@ -359,6 +373,14 @@ def test_perturbed_raw_map_is_not_multiplicative():
     ref = _reference_mult_defect(raw)
     assert ref > 1e-4
     assert abs(exc.value.residual - ref) < 1e-12
+
+
+def test_half_identity_fails_unitality_by_the_frobenius_distance():
+    alg = AlgebraSpec((2,))
+    with pytest.raises(NotAHomomorphismError) as exc:
+        hom_from_raw(RawLinearMap(alg, alg, 0.5 * np.eye(4)))
+    assert exc.value.axiom == "unital"
+    assert abs(exc.value.residual - 0.5 * np.sqrt(2)) < 1e-15
 
 
 def test_transpose_is_not_a_homomorphism():

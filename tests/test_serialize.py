@@ -209,3 +209,25 @@ def test_matrix_roundtrip_keeps_signed_zeros():
     m = np.array([[complex(-0.0, 1.0), complex(1.0, -0.0)], [complex(-0.0, -0.0), 2.0]])
     back = matrix_from_json(through_json(matrix_to_json(m)))
     assert np.array_equal(back.view(np.uint64), m.view(np.uint64))
+
+
+def test_integers_wider_than_64_bits_load_as_floats():
+    # numpy holds such an integer as an object, alone or beside a float
+    for doc, want in [
+        ({"re": [[10**20]]}, [[1e20]]),
+        ({"re": [[1.5, -(2**64)]]}, [[1.5, -(2.0**64)]]),
+        ({"re": [[0.0]], "im": [[10**20]]}, [[1e20j]]),
+    ]:
+        got = load_any(through_json(doc))
+        assert np.array_equal(got, np.array(want, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("entry", ["1", True, None])
+def test_wide_integer_beside_a_non_number_is_rejected(entry):
+    with pytest.raises(ShapeError, match="entries must be numbers"):
+        load_any(through_json({"re": [[10**20, entry]]}))
+
+
+def test_integer_too_large_for_a_float_is_a_shape_error():
+    with pytest.raises(ShapeError, match="malformed matrix document: int too large"):
+        load_any(through_json({"re": [[10**400]]}))
