@@ -78,7 +78,6 @@ if typing.TYPE_CHECKING:
         ExpansionCheck,
         InfiniteRegimeReport,
         chain_rule_report,
-        chain_rule_triple,
         conditional_entropy,
         convex_sum_morphisms,
         convex_sum_objects,
@@ -117,7 +116,6 @@ _LAZY = {
             "ExpansionCheck",
             "InfiniteRegimeReport",
             "chain_rule_report",
-            "chain_rule_triple",
             "conditional_entropy",
             "convex_sum_morphisms",
             "convex_sum_objects",

@@ -178,8 +178,8 @@ class State:
         object.__setattr__(self, "_supports", {})  # cutoff -> support()
 
     @cached_property
-    def spectra(self) -> tuple[HermitianEigen, ...]:
-        """Eigendecomposition of each density, Hermitian within DEFAULT_ATOL."""
+    def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """(eigenvalues, eigenvectors) of each density, Hermitian within DEFAULT_ATOL."""
         return tuple(hermitian_eigen(d) for d in self.densities)
 
     def support(
@@ -189,11 +189,12 @@ class State:
 
         The cutoff is relative to the largest eigenvalue of the whole state,
         so a block carrying only noise weight has an empty support.  Cached
-        per cutoff, read-only like ``spectra``.
+        per cutoff, read-only like ``spectra``.  Raises LinAlgError when a
+        density has an eigenvalue below -DEFAULT_ATOL.
         """
         check_tolerance("cutoff", cutoff)
         if cutoff not in self._supports:
-            top = max(e.eigenvalues[-1] for e in self.spectra)
+            top = max(vals[-1] for vals, _ in self.spectra)
             self._supports[cutoff] = tuple(
                 supported_spectrum(e, top, cutoff) for e in self.spectra
             )
@@ -219,16 +220,8 @@ def state_distance(s1: State, s2: State) -> float:
     )
 
 
-@dataclass(frozen=True, eq=False)
-class HermitianEigen:
-    """Eigendecomposition of a Hermitian matrix: ascending eigenvalues, unitary columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
-    """Eigendecompose m, insisting it is Hermitian within DEFAULT_ATOL (Frobenius)."""
+def hermitian_eigen(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only eigh (eigenvalues, eigenvectors) of m, Hermitian within DEFAULT_ATOL."""
     m = np.asarray(m, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ShapeError(f"expected a square matrix, got shape {m.shape}")
@@ -240,7 +233,7 @@ def hermitian_eigen(m: np.ndarray) -> HermitianEigen:
     vals, vecs = np.linalg.eigh((m + m.conj().T) / 2)
     vals.setflags(write=False)
     vecs.setflags(write=False)
-    return HermitianEigen(vals, vecs)
+    return vals, vecs
 
 
 def partial_trace_left(t: np.ndarray, a: int, b: int) -> np.ndarray:
@@ -255,43 +248,40 @@ def partial_trace_left(t: np.ndarray, a: int, b: int) -> np.ndarray:
 
 
 def supported_spectrum(
-    eig: HermitianEigen, top: float, cutoff: float = DEFAULT_CUTOFF
+    eig: tuple[np.ndarray, np.ndarray], top: float, cutoff: float = DEFAULT_CUTOFF
 ) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues above cutoff * top, with their eigenvector columns.
 
-    top is the largest eigenvalue the cutoff is relative to; nothing is kept
-    when it is not positive.
+    eig is an (eigenvalues, eigenvectors) pair; top is the largest eigenvalue
+    the cutoff is relative to; nothing is kept when it is not positive.
+    Raises LinAlgError when an eigenvalue is below -DEFAULT_ATOL.
     """
-    keep = eig.eigenvalues > max(cutoff * top, 0.0)
-    kept = eig.eigenvalues[keep], eig.eigenvectors[:, keep]
+    vals, vecs = eig
+    if vals.size and vals[0] < -DEFAULT_ATOL:
+        raise np.linalg.LinAlgError(
+            f"matrix is not positive semidefinite (min eigenvalue {vals[0]:.3e})"
+        )
+    keep = vals > max(cutoff * top, 0.0)
+    kept = vals[keep], vecs[:, keep]
     for a in kept:
         a.setflags(write=False)
     return kept
 
 
-def _require_psd(eig: HermitianEigen) -> None:
-    low = eig.eigenvalues[0] if eig.eigenvalues.size else 0.0
-    if low < -DEFAULT_ATOL:
-        raise np.linalg.LinAlgError(
-            f"matrix is not positive semidefinite (min eigenvalue {low:.3e})"
-        )
-
-
-def _spectral_apply(eig: HermitianEigen, fn) -> np.ndarray:
+def _spectral_apply(eig: tuple[np.ndarray, np.ndarray], fn) -> np.ndarray:
     """fn of a Hermitian PSD matrix on its support, the cutoff relative to its top.
 
     eig is the matrix's eigendecomposition, such as a cached State.spectra entry.
     """
-    _require_psd(eig)
-    top = eig.eigenvalues[-1] if eig.eigenvalues.size else 0.0
+    top = eig[0][-1] if eig[0].size else 0.0
     vals, vecs = supported_spectrum(eig, top)
     return (vecs * fn(vals)) @ vecs.conj().T
 
 
 def hermitian_exp(m: np.ndarray) -> np.ndarray:
     """Matrix exponential of a Hermitian matrix via its eigendecomposition."""
-    eig = hermitian_eigen(m)
-    return (eig.eigenvectors * np.exp(eig.eigenvalues)) @ eig.eigenvectors.conj().T
+    vals, vecs = hermitian_eigen(m)
+    return (vecs * np.exp(vals)) @ vecs.conj().T
 
 
 def hermitian_log(m: np.ndarray) -> np.ndarray:
@@ -328,10 +318,7 @@ def absolutely_continuous(
     """
     if s1.algebra != s2.algebra:
         raise AlgebraMismatchError("states live on different algebras")
-    blocks = zip(s1.spectra, s2.spectra, s1.support(cutoff), s2.support(cutoff))
-    for e1, e2, (_, u1), (_, v2) in blocks:
-        _require_psd(e1)
-        _require_psd(e2)
+    for (_, u1), (_, v2) in zip(s1.support(cutoff), s2.support(cutoff)):
         if u1.size and np.linalg.norm(u1 - v2 @ (v2.conj().T @ u1), 2) ** 2 > cutoff:
             return False
     return True

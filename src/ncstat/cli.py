@@ -7,13 +7,14 @@ law check finds a violation.  An input that cannot be read or used (a
 missing file, malformed JSON, non-finite or non-numeric entries, a side,
 multiplicity or index that is not an integer, an unclassifiable document, a
 document of the wrong kind, mismatched algebras, chain-rule --dims that are
-not three factors of the density's side) or a tolerance (--atol, --cutoff
-or NCSTAT_TOL) that is not a finite number >= 0 prints one
-``ncstat: error: ...`` line to stderr and exits 2, the code argparse uses
-for usage errors; ``validate`` reports a file it cannot load as
-``invalid: ...`` with exit 1 instead.  NCSTAT_TOL overrides the default
-tolerance for commands that take one; an explicit --atol flag wins over the
-environment.  Each command imports only the modules it runs.
+not three positive factors of the density's side, a chain-rule density that
+is not a state) or a tolerance (--atol, --cutoff or NCSTAT_TOL) that is not
+a finite number >= 0 prints one ``ncstat: error: ...`` line to stderr and
+exits 2, the code argparse uses for usage errors; ``validate`` reports a
+file it cannot load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL
+overrides the default tolerance for commands that take one; an explicit
+--atol flag wins over the environment.  Each command imports only the
+modules it runs.
 """
 
 from __future__ import annotations
@@ -168,10 +169,8 @@ def _cmd_chain_rule(args) -> int:
         dims = tuple(int(d) for d in args.dims.split(","))
     except ValueError:
         raise ShapeError(f"--dims takes integers, got {args.dims!r}") from None
-    if len(dims) != 3:
-        raise ShapeError("--dims must name three tensor factors, e.g. 2,2,2")
     report = chain_rule_report(rho, dims)
-    da, db, _ = dims
+    rhs_comp, rhs_inner, rhs_outer = report.re_rhs
     lhs = report.h_firsttwo_given_third
     rhs = report.h_first_given_rest + report.h_second_given_third
     print(f"H(first two | third)   = {report.h_firsttwo_given_third!r}")
@@ -180,15 +179,15 @@ def _cmd_chain_rule(args) -> int:
     print(f"chain rule             : {lhs!r} == {rhs!r}  (defect {report.chain_defect:.6e})")
     print(
         f"RE composite           = {_format_value(report.re_composite)}"
-        f"  vs H + ln(dA dB) = {lhs + math.log(da) + math.log(db)!r}"
+        f"  vs H + ln(dA dB) = {rhs_comp!r}"
     )
     print(
         f"RE inner               = {_format_value(report.re_inner)}"
-        f"  vs H + ln(dB)    = {report.h_second_given_third + math.log(db)!r}"
+        f"  vs H + ln(dB)    = {rhs_inner!r}"
     )
     print(
         f"RE outer               = {_format_value(report.re_outer)}"
-        f"  vs H + ln(dA)    = {report.h_first_given_rest + math.log(da)!r}"
+        f"  vs H + ln(dA)    = {rhs_outer!r}"
     )
     print(f"max identity defect    = {report.max_defect:.6e}")
     return 0

@@ -28,6 +28,7 @@ from .algebra import (
     direct_sum_algebras,
     hermitian_log,
     partial_trace_left,
+    validate_state,
 )
 from .errors import ShapeError
 from .hypotheses import (
@@ -56,7 +57,8 @@ def von_neumann_entropy(s: State) -> float:
     """Entropy of a block state; mixes the block weights with the block entropies.
 
     Read off the cached spectra; DEFAULT_CUTOFF is relative to the largest
-    eigenvalue of the whole state.
+    eigenvalue of the whole state.  Raises LinAlgError when a density has an
+    eigenvalue below -DEFAULT_ATOL.
     """
     return -sum(_entropy_sum(vals) for vals, _ in s.support())
 
@@ -91,6 +93,14 @@ def re_functor(m: NCMorphism, cutoff: float = DEFAULT_CUTOFF) -> float:
     return relative_entropy(m.target.state, back, cutoff)
 
 
+def _tensor_factor(d: object) -> int:
+    """d as an int >= 1; a ShapeError naming the tensor factor otherwise."""
+    n = as_int(d, "tensor factor")
+    if n < 1:
+        raise ShapeError(f"tensor factor must be >= 1, got {n}")
+    return n
+
+
 def conditional_entropy(
     s: State, dims: Sequence[int], num_conditioned: int = 1
 ) -> float:
@@ -103,7 +113,7 @@ def conditional_entropy(
     """
     if s.algebra.num_blocks != 1:
         raise ShapeError("conditional entropy needs a single-block algebra")
-    dims = tuple(as_int(d, "tensor factor") for d in dims)
+    dims = tuple(_tensor_factor(d) for d in dims)
     if not 0 < num_conditioned < len(dims):
         raise ShapeError("num_conditioned must leave at least one factor on each side")
     if math.prod(dims) != s.algebra.block_dims[0]:
@@ -247,6 +257,7 @@ def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphis
     target state is the supplied joint density; the source state is its
     reduction.
     """
+    head_dim = _tensor_factor(head_dim)
     rho_joint = np.asarray(rho_joint, dtype=np.complex128)
     side = rho_joint.shape[0]
     if rho_joint.shape != (side, side) or side % head_dim:
@@ -262,29 +273,13 @@ def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphis
     )
 
 
-def chain_rule_triple(
-    rho_abc: np.ndarray, dims: Sequence[int]
-) -> tuple[NCMorphism, NCMorphism]:
-    """The composable pair of tensor inclusions under a tripartite density.
-
-    dims is (d_first, d_second, d_third); the inner morphism includes the third
-    factor into the last two, the outer includes the last two into all three.
-    """
-    da, db, dc = (as_int(d, "tensor factor") for d in dims)
-    rho_abc = np.asarray(rho_abc, dtype=np.complex128)
-    if rho_abc.shape != (da * db * dc, da * db * dc):
-        raise ShapeError(
-            f"density must be {(da * db * dc,) * 2}, got {rho_abc.shape}"
-        )
-    f = tensor_inclusion_morphism(rho_abc, da)
-    rho_bc = f.source.state.densities[0]
-    g = tensor_inclusion_morphism(rho_bc, db)
-    return g, f
-
-
 @dataclass(frozen=True)
 class ChainRuleReport:
-    """Conditional entropies of a tripartite state and the matching RE identities."""
+    """Conditional entropies of a tripartite state and the matching RE identities.
+
+    re_rhs holds the conditional entropy plus the log dimension of the
+    included factors that re_composite, re_inner and re_outer must match.
+    """
 
     h_first_given_rest: float
     h_second_given_third: float
@@ -293,7 +288,12 @@ class ChainRuleReport:
     re_outer: float
     re_inner: float
     re_composite: float
-    identity_defects: tuple[float, float, float]
+    re_rhs: tuple[float, float, float]
+
+    @property
+    def identity_defects(self) -> tuple[float, float, float]:
+        lhs = (self.re_composite, self.re_inner, self.re_outer)
+        return tuple(abs(re - rhs) for re, rhs in zip(lhs, self.re_rhs))
 
     @property
     def max_defect(self) -> float:
@@ -303,36 +303,39 @@ class ChainRuleReport:
 def chain_rule_report(rho_abc: np.ndarray, dims: Sequence[int]) -> ChainRuleReport:
     """Check the entropy chain rule and its relative entropy form on one density.
 
-    The chain rule is h(first two | third) == h(first | last two) +
-    h(second | third) in the flipped-sign convention.  Each conditional entropy
-    plus the log dimension of the included factor must match the relative
-    entropy of the corresponding tensor-inclusion hypothesis.
+    rho_abc must be a state on the three factors dims.  The chain rule is
+    h(first two | third) == h(first | last two) + h(second | third) in the
+    flipped-sign convention.  Each conditional entropy plus the log dimension
+    of the included factor must match the relative entropy of the tensor
+    inclusion of the last two factors into all three (outer) or of the third
+    into the last two (inner).
     """
-    da, db, dc = (as_int(d, "tensor factor") for d in dims)
-    g, f = chain_rule_triple(rho_abc, dims)
-    omega = f.target.state
-    xi = f.source.state
+    dims = tuple(_tensor_factor(d) for d in dims)
+    if len(dims) != 3:
+        raise ShapeError(f"the chain rule needs three tensor factors, got {dims}")
+    da, db, dc = dims
+    density = State(AlgebraSpec((da * db * dc,)), (rho_abc,))
+    validity = validate_state(density)
+    if not validity.ok:
+        raise ValueError(f"density is not a state: {validity.describe()}")
+    f = tensor_inclusion_morphism(density.densities[0], da)
+    omega, xi = f.target.state, f.source.state
+    g = tensor_inclusion_morphism(xi.densities[0], db)
 
-    h_first = conditional_entropy(omega, (da, db, dc), num_conditioned=2)
+    h_first = conditional_entropy(omega, dims, num_conditioned=2)
     h_two = conditional_entropy(omega, (da * db, dc), num_conditioned=1)
     h_second = conditional_entropy(xi, (db, dc), num_conditioned=1)
-    chain_defect = abs(h_two - h_first - h_second)
-
-    re_outer = re_functor(f)
-    re_inner = re_functor(g)
-    re_comp = re_functor(compose_morphisms(g, f))
-    identity_defects = (
-        abs(re_comp - (h_two + math.log(da) + math.log(db))),
-        abs(re_inner - (h_second + math.log(db))),
-        abs(re_outer - (h_first + math.log(da))),
-    )
     return ChainRuleReport(
         h_first_given_rest=h_first,
         h_second_given_third=h_second,
         h_firsttwo_given_third=h_two,
-        chain_defect=chain_defect,
-        re_outer=re_outer,
-        re_inner=re_inner,
-        re_composite=re_comp,
-        identity_defects=identity_defects,
+        chain_defect=abs(h_two - h_first - h_second),
+        re_outer=re_functor(f),
+        re_inner=re_functor(g),
+        re_composite=re_functor(compose_morphisms(g, f)),
+        re_rhs=(
+            h_two + math.log(da) + math.log(db),
+            h_second + math.log(db),
+            h_first + math.log(da),
+        ),
     )

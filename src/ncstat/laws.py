@@ -313,10 +313,8 @@ def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
     before = ent.re_functor(m)
     after = ent.re_functor(rect)
     if math.isinf(before) or math.isinf(after):
-        return TrialOutcome(
-            defect=0.0 if math.isinf(before) == math.isinf(after) else 1.0,
-            infinite=True,
-        )
+        flipped = 0.0 if math.isinf(before) == math.isinf(after) else 1.0
+        return TrialOutcome(defect=max(worst, flipped), infinite=True)
     return TrialOutcome(defect=max(worst, abs(before - after)))
 
 

@@ -155,6 +155,17 @@ def test_hermitian_eigen_rejects_nonhermitian():
         hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_hermitian_eigen_is_the_read_only_eigh_pair():
+    rng = np.random.default_rng(11)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g + g.conj().T + 1e-12 * g  # Hermitian within DEFAULT_ATOL, not exactly
+    pair = hermitian_eigen(m)
+    assert type(pair) is tuple and len(pair) == 2
+    for got, want in zip(pair, np.linalg.eigh((m + m.conj().T) / 2)):
+        assert np.array_equal(got, want)
+        assert not got.flags.writeable
+
+
 def test_spectral_calculus_roundtrips():
     rng = np.random.default_rng(7)
     for _ in range(20):

@@ -6,9 +6,11 @@ import pytest
 
 from ncstat.algebra import AlgebraSpec, State
 from ncstat.cli import main
+from ncstat.entropy import chain_rule_report
 from ncstat.generators import (
     GeneratorConfig,
     gen_composable_pair,
+    gen_density,
     gen_morphism,
     gen_optimal_morphism,
     rng_for,
@@ -272,6 +274,28 @@ def test_chain_rule_command(workdir, capsys):
     assert "vs H + ln(dA dB)" in out
 
 
+def test_chain_rule_prints_the_report_right_hand_sides(tmp_path, capsys):
+    rho = gen_density(np.random.default_rng(7), 8, faithful=True)
+    path = str(tmp_path / "rho.json")
+    write_json(path, matrix_to_json(rho))
+    assert main(["chain-rule", path, "--dims", "2,2,2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    rhs = chain_rule_report(rho, (2, 2, 2)).re_rhs
+    assert [line.split(" = ")[-1] for line in lines[4:7]] == [repr(v) for v in rhs]
+
+
+def test_chain_rule_rejects_a_density_that_is_not_a_state(tmp_path, capsys):
+    path = str(tmp_path / "eye.json")
+    write_json(path, matrix_to_json(np.eye(8)))
+    assert main(["chain-rule", path, "--dims", "2,2,2"]) == 2
+    assert "density is not a state" in _one_error_line(capsys)
+
+
+def test_chain_rule_names_a_factor_below_one(workdir, capsys):
+    assert main(["chain-rule", workdir["rho.json"], "--dims=2,-2,-2"]) == 2
+    assert "tensor factor must be >= 1, got -2" in _one_error_line(capsys)
+
+
 def test_chain_rule_rejects_bad_dims(workdir, capsys):
     assert main(["chain-rule", workdir["rho.json"], "--dims", "2,2"]) == 2
     assert "three tensor factors" in _one_error_line(capsys)
@@ -284,9 +308,10 @@ def test_chain_rule_names_dims_on_a_non_integer_factor(workdir, capsys):
 
 def test_chain_rule_reads_integers_wider_than_64_bits(tmp_path, capsys):
     path = str(tmp_path / "big.json")
+    # 1e20 loads and then fails only as a state, not as a matrix entry
     write_json(path, {"re": [[10**20]]})
-    assert main(["chain-rule", path, "--dims", "1,1,1"]) == 0
-    assert "chain rule" in capsys.readouterr().out
+    assert main(["chain-rule", path, "--dims", "1,1,1"]) == 2
+    assert "not a state" in _one_error_line(capsys)
     write_json(path, {"re": [[10**400]]})
     assert main(["chain-rule", path, "--dims", "1,1,1"]) == 2
     assert "too large" in _one_error_line(capsys)

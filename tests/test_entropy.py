@@ -390,6 +390,33 @@ def test_tensor_factors_must_be_integers():
     assert chain_rule_report(rho, (2.0, 2, 2)) == chain_rule_report(rho, (2, 2, 2))
 
 
+def test_tensor_factors_must_be_positive():
+    rho = np.eye(8) / 8
+    s = State(AlgebraSpec((8,)), (rho,))
+    with pytest.raises(ShapeError, match="tensor factor must be >= 1, got -2"):
+        conditional_entropy(s, (-2, -4))
+    with pytest.raises(ShapeError, match="tensor factor must be >= 1, got 0"):
+        tensor_inclusion_morphism(rho, 0)
+    with pytest.raises(ShapeError, match="tensor factor must be >= 1, got -2"):
+        chain_rule_report(rho, (2, -2, -2))
+
+
+def test_entropies_reject_a_density_that_is_not_psd():
+    # 1.2 and -0.2 sum to one: only the PSD check can catch it
+    with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+        von_neumann_entropy(State(AlgebraSpec((2,)), (np.diag([1.2, -0.2]),)))
+    s = State(AlgebraSpec((4,)), (np.diag([1.2, -0.2, 0.0, 0.0]),))
+    with pytest.raises(np.linalg.LinAlgError, match="positive semidefinite"):
+        conditional_entropy(s, (2, 2))
+
+
+def test_chain_rule_rejects_a_density_that_is_not_a_state():
+    with pytest.raises(ValueError, match="density is not a state: normalization"):
+        chain_rule_report(np.eye(8), (2, 2, 2))
+    with pytest.raises(ValueError, match="density is not a state: positivity"):
+        chain_rule_report(np.diag([1.2, -0.2, 0, 0, 0, 0, 0, 0]), (2, 2, 2))
+
+
 def test_affinity_spot():
     m1 = gen_morphism(CFG, rng_for(CFG, 4), faithful=True)
     m2 = gen_morphism(CFG, rng_for(CFG, 5), faithful=True)

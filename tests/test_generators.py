@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraSpec, State, validate_state
+from ncstat import laws
+from ncstat.algebra import (
+    AlgebraSpec,
+    State,
+    ValidationReport,
+    Violation,
+    validate_state,
+)
 from ncstat.errors import ShapeError
 from ncstat.generators import (
     FAITHFUL_FLOOR,
@@ -21,9 +28,13 @@ from ncstat.generators import (
     haar_unitary,
     rng_for,
 )
-from ncstat.hypotheses import validate_morphism
+from ncstat.hypotheses import (
+    AlphaFamily,
+    build_hypothesis_from_alphas,
+    validate_morphism,
+)
 from ncstat.laws import LAWS, run_laws
-from ncstat.maps import validate_cpu
+from ncstat.maps import StarHom, validate_cpu
 
 CFG = GeneratorConfig(seed=77, trials=8)
 
@@ -183,6 +194,25 @@ def test_law_report_json_layout():
         "passed",
     ]
     assert all(isinstance(entry["failing_trials"], list) for entry in doc["laws"])
+
+
+def test_rectification_invariance_keeps_its_defects_on_infinite_trials(monkeypatch):
+    # a rank-deficient alpha confines the pushed-back state to one copy, so a
+    # full-support target has infinite relative entropy before and after
+    src, tgt = AlgebraSpec((2,)), AlgebraSpec((4,))
+    hom = StarHom(src, tgt, ((2,),), (np.eye(4),))
+    m = build_hypothesis_from_alphas(
+        hom,
+        State(src, (np.eye(2) / 2,)),
+        AlphaFamily(((np.diag([1.0, 0.0]),),)),
+        target_state=State(tgt, (np.eye(4) / 4,)),
+    )
+    broken = ValidationReport((Violation("section", "block 0", 0.5),))
+    monkeypatch.setattr(laws, "gen_morphism", lambda cfg, rng: m)
+    monkeypatch.setattr(laws, "validate_morphism", lambda morphism: broken)
+    outcome = laws._law_rectification_invariance(np.random.default_rng(0), CFG)
+    assert outcome.infinite
+    assert outcome.defect >= 0.5
 
 
 def test_run_laws_faithful_only_skips_coverage():
