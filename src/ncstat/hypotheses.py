@@ -25,6 +25,7 @@ from .algebra import (
     hermitian_pinv,
     psd_violations,
     state_distance,
+    validate_state,
 )
 from .errors import (
     AlgebraMismatchError,
@@ -176,7 +177,9 @@ def validate_morphism(m: NCMorphism, atol: float = DEFAULT_ATOL) -> ValidationRe
 
     Reports the pushforward defect (target state through the homomorphism versus
     the source state), the worst section defect (CPU after homomorphism versus
-    the identity, on matrix units), and any CP/unitality violations.
+    the identity, on matrix units), any CP/unitality violations, and the
+    violations of the source and target states, their where prefixed by
+    "source state " or "target state ".
 
     The section defect comes from one Choi composition of Q with the Choi grid
     of the homomorphism (one matrix product per block triple) instead of
@@ -201,6 +204,9 @@ def validate_morphism(m: NCMorphism, atol: float = DEFAULT_ATOL) -> ValidationRe
         violations.append(Violation("section", "CPU after hom", section))
     cpu_report = validate_cpu(m.cpu, atol)
     violations.extend(cpu_report.violations)
+    for side, obj in (("source", m.source), ("target", m.target)):
+        for v in validate_state(obj.state, atol).violations:
+            violations.append(Violation(v.kind, f"{side} state {v.where}", v.residual))
     return ValidationReport(tuple(violations))
 
 

@@ -88,7 +88,7 @@ class StarHom:
         for x, (u, m) in enumerate(zip(self.conjugators, self.target.block_dims)):
             u = frozen_matrix(u, (m, m), f"conjugator {x}")
             defect = np.linalg.norm(u.conj().T @ u - np.eye(m))
-            if defect > UNITARY_ATOL:
+            if not defect <= UNITARY_ATOL:
                 raise ShapeError(
                     f"conjugator {x} is not unitary (defect {defect:.3e})"
                 )
@@ -231,6 +231,55 @@ def hom_to_raw(f: StarHom) -> RawLinearMap:
     return RawLinearMap(f.source, f.target, np.column_stack(cols))
 
 
+def _pairwise_mult_defect(stacks: list[np.ndarray], units: list[np.ndarray]) -> float:
+    """Worst ||P_ij P_kl - delta_jk P_il||: one batched product per E_ij and block."""
+    mult_defect = 0.0
+    for idx in units:
+        n = len(idx)
+        for i in range(n):
+            for j in range(n):
+                sq = 0.0
+                for st in stacks:
+                    d = st[idx[j, i]] @ st  # E_ij times every unit
+                    d[idx[:, j]] -= st[idx[:, i]]  # E_ij E_jl = E_il
+                    sq = sq + (np.abs(d) ** 2).sum(axis=(1, 2))
+                mult_defect = max(mult_defect, float(np.sqrt(np.max(sq))))
+    return mult_defect
+
+
+def _mult_defect_bound(stacks: list[np.ndarray], units: list[np.ndarray]) -> float:
+    """An upper bound on _pairwise_mult_defect from O(n^2) products; NaN stays NaN.
+
+    With R_ij = P_ij - P_i0 P_0j and S = P_0j P_k0 - delta P_00 (delta = 1 only
+    for j = k in one block), P_ij P_kl - delta_jk P_il = P_ij R_kl + R_ij P_k0 P_0l
+    + P_i0 S P_0l - delta_jk (R_il + R_i0 P_0l).  K, the largest Frobenius norm
+    of a unit image in one target block, bounds operator norms, so with r1, r2
+    the worst norms of R and S the defect is at most r1 (1 + K)^2 + K^2 r2.
+    Rounding: a product of two unit images is off by at most (m + 2) eps K^2
+    per block of side <= m (Higham, Secs. 3.5-3.6), so by e = sqrt(s) (m + 2)
+    eps K^2 over s blocks, in r1, r2 and each pairwise defect; the allowance
+    2 e (1 + K)^2 >= e (1 + (1 + K)^2 + K^2) covers all three.  Relative
+    rounding (sums, norms, K) is left to the factor two under DEFAULT_ATOL.
+    """
+    heads = np.concatenate([idx[:, 0] for idx in units])  # E_0j over every (y, j)
+    tails = np.concatenate([idx[0] for idx in units])  # E_k0
+    zeros = np.concatenate([np.full(len(idx), idx[0, 0]) for idx in units])  # E_00
+    diag, sq1, sq2 = np.arange(len(heads)), [0.0] * len(units), 0.0
+    for st in stacks:
+        for y, idx in enumerate(units):
+            d = st[idx[0]][:, None] @ st[idx[:, 0]] - st[idx.T]  # [i, j]: R_ij
+            sq1[y] = sq1[y] + (np.abs(d) ** 2).sum(axis=(2, 3))
+        g = st[heads][:, None] @ st[tails]  # [(y, j), (y', k)]: P_0j P_k0
+        g[diag, diag] -= st[zeros]
+        sq2 = sq2 + (np.abs(g) ** 2).sum(axis=(2, 3))
+    k = np.sqrt(np.max([(np.abs(st) ** 2).sum(axis=(1, 2)).max() for st in stacks]))
+    r1 = np.sqrt(np.max([sq.max() for sq in sq1]))
+    r2 = np.sqrt(sq2.max())
+    m = max(st.shape[1] for st in stacks)
+    e = np.sqrt(len(stacks)) * (m + 2) * np.finfo(float).eps * k**2
+    return float(r1 * (1 + k) ** 2 + k**2 * r2 + 2 * e * (1 + k) ** 2)
+
+
 def hom_from_raw(raw: RawLinearMap) -> StarHom:
     """Recover multiplicities and conjugators from a raw unital *-homomorphism.
 
@@ -238,13 +287,16 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     mult[y][x] off the trace of the image of the unit of source block y in
     target block x, and assembles each conjugator from an orthonormal basis of
     the range of the image of the first matrix unit of each source block.  The
-    unit images are the columns of the raw matrix, stacked per target block;
-    multiplicativity is checked one left unit at a time, with one batched
-    product per target block, and unitality is the Frobenius distance of the
-    sum of the unit images over y from the identity, over all x.
+    unit images P_ij are the columns of the raw matrix, stacked per target
+    block; unitality is the Frobenius distance of the sum of the unit images
+    over y from the identity, over all x.  Multiplicativity, the worst
+    ||P_ij P_kl - delta_jk P_il|| over all pairs, is first bounded from the
+    products P_i0 P_0j and P_0j P_k0 (_mult_defect_bound); only where that
+    bound, rounding included, exceeds DEFAULT_ATOL / 2 do all pairs run
+    (_pairwise_mult_defect), which then gives the verdict and the residual.
     The axioms and the integrality of the multiplicities, which with unitality
     make them fill every target block, are checked at DEFAULT_ATOL, the
-    reconstruction from the assembled conjugators at 1e-7.
+    reconstruction from the assembled conjugators at 1e-7; a NaN fails each.
     """
     src, tgt = raw.source, raw.target
     n_dims = src.block_dims
@@ -262,7 +314,7 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     ones = [[st[np.diagonal(idx)].sum(axis=0) for st in stacks] for idx in units]
     image = AlgebraElement(tgt, tuple(sum(col) for col in zip(*ones)))
     unital_defect = image.distance(tgt.identity())
-    if unital_defect > DEFAULT_ATOL:
+    if not unital_defect <= DEFAULT_ATOL:
         raise NotAHomomorphismError("unital", unital_defect)
 
     swap = np.concatenate([idx.T.reshape(-1) for idx in units])  # E_ij -> E_ji
@@ -271,28 +323,20 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
         for st in stacks
     )
     adj_defect = float(np.sqrt(np.max(sq)))
-    if adj_defect > DEFAULT_ATOL:
+    if not adj_defect <= DEFAULT_ATOL:
         raise NotAHomomorphismError("adjoint", adj_defect)
 
-    mult_defect = 0.0
-    for idx, n in zip(units, n_dims):
-        for i in range(n):
-            for j in range(n):
-                sq = 0.0
-                for st in stacks:
-                    d = st[idx[j, i]] @ st  # E_ij times every unit
-                    d[idx[:, j]] -= st[idx[:, i]]  # E_ij E_jl = E_il
-                    sq = sq + (np.abs(d) ** 2).sum(axis=(1, 2))
-                mult_defect = max(mult_defect, float(np.sqrt(np.max(sq))))
-    if mult_defect > DEFAULT_ATOL:
-        raise NotAHomomorphismError("multiplicative", mult_defect)
+    if not _mult_defect_bound(stacks, units) <= DEFAULT_ATOL / 2:
+        mult_defect = _pairwise_mult_defect(stacks, units)
+        if not mult_defect <= DEFAULT_ATOL:
+            raise NotAHomomorphismError("multiplicative", mult_defect)
 
     mult = [[0] * tgt.num_blocks for _ in n_dims]
     for y, n in enumerate(n_dims):
         for x, one in enumerate(ones[y]):
             tr = np.trace(one).real / n
             c = round(tr)
-            if abs(tr - c) > DEFAULT_ATOL:
+            if not abs(tr - c) <= DEFAULT_ATOL:
                 raise NonIntegralMultiplicityError(
                     f"multiplicity of source block {y} in target block {x} "
                     f"is {tr:.6f}, not an integer within tolerance"
@@ -325,7 +369,7 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     recon = float(
         np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))
     )
-    if recon > 1e-7:
+    if not recon <= 1e-7:
         raise NotAHomomorphismError("reconstruction", recon)
     return result
 

@@ -6,7 +6,7 @@ import pytest
 
 from ncstat.algebra import AlgebraSpec, State
 from ncstat.cli import main
-from ncstat.entropy import chain_rule_report
+from ncstat.entropy import chain_rule_report, tensor_inclusion_morphism
 from ncstat.generators import (
     GeneratorConfig,
     gen_composable_pair,
@@ -64,6 +64,15 @@ def test_validate_flags_bad_state(workdir, tmp_path, capsys):
     write_json(p, bad)
     assert main(["validate", p]) == 1
     assert "normalization" in capsys.readouterr().out
+
+
+def test_validate_flags_a_morphism_whose_states_are_not_states(tmp_path, capsys):
+    p = str(tmp_path / "trace8.json")
+    write_json(p, morphism_to_json(tensor_inclusion_morphism(np.eye(8), 2)))
+    assert main(["validate", p]) == 1
+    out = capsys.readouterr().out
+    assert "normalization at source state total trace" in out
+    assert "normalization at target state total trace" in out
 
 
 def test_validate_rejects_nan_entry(tmp_path, capsys):

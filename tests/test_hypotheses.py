@@ -39,7 +39,7 @@ from ncstat.maps import (
     identity_hom,
     strip_conjugators,
 )
-from ncstat.entropy import re_functor
+from ncstat.entropy import re_functor, tensor_inclusion_morphism
 from ncstat.generators import (
     GeneratorConfig,
     gen_algebra,
@@ -104,6 +104,21 @@ def test_validate_morphism_pushforward_defect():
     assert not rep.ok
     push = [v for v in rep.violations if v.kind == "pushforward"]
     assert push and abs(push[0].residual - math.sqrt(0.08)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "rho, kind, residual",
+    [
+        (np.eye(8), "normalization", 7.0),
+        (np.diag([1.2, -0.2, 0, 0]), "positivity", 0.2),
+    ],
+)
+def test_validate_morphism_checks_both_states(rho, kind, residual):
+    # a tensor inclusion builds from any matrix; its states are not states
+    rep = validate_morphism(tensor_inclusion_morphism(rho, 2))
+    flagged = [v for v in rep.violations if v.kind == kind]
+    assert [v.where.split(" state ")[0] for v in flagged] == ["source", "target"]
+    assert all(abs(v.residual - residual) < 1e-12 for v in flagged)
 
 
 def test_generated_morphism_is_valid():

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from ncstat.algebra import AlgebraElement, AlgebraSpec, State, state_distance
+from ncstat import maps
+from ncstat.algebra import (
+    DEFAULT_ATOL,
+    AlgebraElement,
+    AlgebraSpec,
+    State,
+    state_distance,
+)
 from ncstat.errors import (
     AlgebraMismatchError,
     NotAHomomorphismError,
@@ -286,18 +293,27 @@ def test_hom_raw_roundtrip_random():
         assert apply_hom(back, e).distance(apply_hom(f, e)) < 1e-10
 
 
-def _reference_raw_conjugators(raw: RawLinearMap, mult) -> list[np.ndarray]:
-    """The conjugators hom_from_raw assembles, written column by column into a
-    zero-filled matrix per target block at a running position, with the unit
-    images cut out of the raw rows at a running row offset."""
-    n_dims = raw.source.block_dims
-    offsets = np.cumsum((0,) + tuple(n * n for n in n_dims))
-    units = [off + np.arange(n * n).reshape(n, n) for off, n in zip(offsets, n_dims)]
+def _stacks_and_units(raw: RawLinearMap):
+    """The unit-image stacks and unit indices hom_from_raw checks, cut from the
+    raw rows at a running offset."""
+    offsets = np.cumsum((0,) + tuple(n * n for n in raw.source.block_dims))
+    units = [
+        off + np.arange(n * n).reshape(n, n)
+        for off, n in zip(offsets, raw.source.block_dims)
+    ]
     stacks, row = [], 0
     for m in raw.target.block_dims:
         cols = raw.matrix[row : row + m * m].T.reshape(-1, m, m)
         stacks.append(np.ascontiguousarray(cols.transpose(0, 2, 1)))
         row += m * m
+    return stacks, units
+
+
+def _reference_raw_conjugators(raw: RawLinearMap, mult) -> list[np.ndarray]:
+    """The conjugators hom_from_raw assembles, written column by column into a
+    zero-filled matrix per target block at a running position."""
+    n_dims = raw.source.block_dims
+    stacks, units = _stacks_and_units(raw)
     out = []
     for x, (m, st) in enumerate(zip(raw.target.block_dims, stacks)):
         u = np.zeros((m, m), dtype=np.complex128)
@@ -354,25 +370,131 @@ def _reference_mult_defect(raw: RawLinearMap) -> float:
     return worst
 
 
+def _perturbed(raw: RawLinearMap, eps: float) -> RawLinearMap:
+    # (1 + eps) F - eps tau(.) 1: unital and adjoint-preserving, not multiplicative
+    tau = vec_element(raw.source.identity()) / raw.source.side
+    one = vec_element(raw.target.identity())
+    return RawLinearMap(
+        raw.source, raw.target, (1 + eps) * raw.matrix - eps * np.outer(one, tau)
+    )
+
+
 def test_perturbed_raw_map_is_not_multiplicative():
-    # (1 + eps) F - eps * tau(.) 1 stays unital and adjoint-preserving, but is
-    # not multiplicative; the defect must match the pairwise reference loop
+    # the defect must match the pairwise reference loop
     rng = np.random.default_rng(32)
     src = AlgebraSpec((2, 1))
     tgt = AlgebraSpec((4, 1))
     u = haar_unitary(rng, 4)
     f = StarHom(src, tgt, ((1, 0), (2, 1)), (u, np.eye(1)))
-    tau = vec_element(src.identity()) / src.side
-    eps = 1e-3
-    matrix = (1 + eps) * hom_to_raw(f).matrix
-    matrix -= eps * np.outer(vec_element(tgt.identity()), tau)
-    raw = RawLinearMap(src, tgt, matrix)
+    raw = _perturbed(hom_to_raw(f), 1e-3)
     with pytest.raises(NotAHomomorphismError) as exc:
         hom_from_raw(raw)
     assert exc.value.axiom == "multiplicative"
     ref = _reference_mult_defect(raw)
     assert ref > 1e-4
     assert abs(exc.value.residual - ref) < 1e-12
+
+
+def _random_hom(rng) -> StarHom:
+    """1-3 source blocks of side 1-3 into 1-3 target blocks, multiplicities 0-3."""
+    dims = tuple(int(n) for n in rng.integers(1, 4, size=rng.integers(1, 4)))
+    mult = rng.integers(0, 4, size=(len(dims), rng.integers(1, 4)))
+    mult[0, mult.sum(axis=0) == 0] = 1  # no empty target block
+    sides = tuple(int(col @ dims) for col in mult.T)
+    conj = tuple(haar_unitary(rng, m) for m in sides)
+    return StarHom(AlgebraSpec(dims), AlgebraSpec(sides), mult.tolist(), conj)
+
+
+def _rank_one_raw(rng, n: int, m: int) -> RawLinearMap:
+    """E_ij -> a_i b_j^H with b_0^H a_0 = 1, so P_ij = P_i0 P_0j exactly, while
+    P_0j P_k0 = (b_j^H a_k) P_00 is off by a random factor."""
+    a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
+    b /= np.vdot(b[0], a[0]).conj()
+    cols = [np.outer(a[i], b[j].conj()).ravel("F") for j in range(n) for i in range(n)]
+    return RawLinearMap(AlgebraSpec((n,)), AlgebraSpec((m,)), np.column_stack(cols))
+
+
+RAW_KINDS = ("valid", "perturbed", "random", "rank-one", "edited")
+
+
+@pytest.mark.parametrize("kind", RAW_KINDS)
+def test_mult_defect_bound_is_at_least_the_pairwise_reference(kind):
+    rng = np.random.default_rng([190, RAW_KINDS.index(kind)])
+    for _ in range(25):
+        raw = hom_to_raw(_random_hom(rng))
+        if kind == "perturbed":
+            raw = _perturbed(raw, 10 ** rng.uniform(-12, -3))
+        elif kind == "random":
+            shape = raw.matrix.shape
+            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+            raw = RawLinearMap(raw.source, raw.target, noise)
+        elif kind == "rank-one":  # only the P_0j P_k0 products see the defect
+            raw = _rank_one_raw(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
+        elif kind == "edited" and raw.source.block_dims[0] > 1:
+            # E_11 of block 0 is column n + 1; no P_0j P_k0 product sees it
+            matrix = np.array(raw.matrix)
+            n = raw.source.block_dims[0]
+            size = 10 ** rng.uniform(-9, -3)
+            matrix[:, n + 1] += size * rng.standard_normal(len(matrix))
+            raw = RawLinearMap(raw.source, raw.target, matrix)
+        bound = maps._mult_defect_bound(*_stacks_and_units(raw))
+        assert bound >= _reference_mult_defect(raw)
+        if kind == "valid":
+            assert bound <= DEFAULT_ATOL / 2  # certified: the pairwise loop is skipped
+
+
+@pytest.mark.parametrize("target", [3e-10, 3e-9])
+def test_hom_from_raw_verdict_near_the_tolerance_matches_the_reference(target):
+    rng = np.random.default_rng(193)
+    for _ in range(6):
+        raw = hom_to_raw(_random_hom(rng))
+        # the defect is linear in eps to first order: aim it at target
+        eps = 1e-6 * target / _reference_mult_defect(_perturbed(raw, 1e-6))
+        raw = _perturbed(raw, eps)
+        ref = _reference_mult_defect(raw)
+        assert target / 2 < ref < 2 * target
+        if ref <= DEFAULT_ATOL:
+            hom_from_raw(raw)
+            continue
+        with pytest.raises(NotAHomomorphismError) as exc:
+            hom_from_raw(raw)
+        assert exc.value.axiom == "multiplicative"
+        assert abs(exc.value.residual - ref) < 1e-12
+
+
+def test_pairwise_mult_check_runs_only_where_the_bound_fails(monkeypatch):
+    def refuse(stacks, units):
+        raise AssertionError("pairwise loop ran")
+
+    monkeypatch.setattr(maps, "_pairwise_mult_defect", refuse)
+    rng = np.random.default_rng(194)
+    u = haar_unitary(rng, 16)
+    raw = hom_to_raw(StarHom(AlgebraSpec((8,)), AlgebraSpec((16,)), ((2,),), (u,)))
+    assert np.allclose(hom_to_raw(hom_from_raw(raw)).matrix, raw.matrix, atol=1e-12)
+    alg = AlgebraSpec((2,))
+    transpose = np.eye(4)[[0, 2, 1, 3]]  # vec(E_ij) -> vec(E_ji)
+    with pytest.raises(AssertionError, match="pairwise loop ran"):
+        hom_from_raw(RawLinearMap(alg, alg, transpose))
+
+
+@pytest.mark.parametrize("unit, axiom", [(0, "unital"), (2, "adjoint")])
+def test_nan_in_a_unit_image_fails_an_axiom(unit, axiom):
+    # column 0 is the image of E_00, column 2 that of E_01
+    src, tgt = AlgebraSpec((2,)), AlgebraSpec((4,))
+    matrix = np.array(hom_to_raw(StarHom(src, tgt, ((2,),), (np.eye(4),))).matrix)
+    matrix[0, unit] = np.nan
+    with pytest.raises(NotAHomomorphismError) as exc:
+        hom_from_raw(RawLinearMap(src, tgt, matrix))
+    assert exc.value.axiom == axiom
+
+
+def test_nan_conjugator_is_not_unitary():
+    u = np.eye(2, dtype=complex)
+    u[0, 1] = np.nan
+    alg = AlgebraSpec((2,))
+    with pytest.raises(ShapeError, match="not unitary"):
+        StarHom(alg, alg, ((1,),), (u,))
 
 
 def test_half_identity_fails_unitality_by_the_frobenius_distance():
