@@ -31,7 +31,6 @@ from .algebra import (
 from .errors import (
     AlgebraMismatchError,
     FactorizationError,
-    NonIntegralMultiplicityError,
     NotAHomomorphismError,
     ObjectMismatchError,
     ShapeError,

@@ -41,7 +41,6 @@ from .hypotheses import (
 )
 from .maps import (
     StarHom,
-    cpu_pushforward_state,
     direct_sum_cpus,
     direct_sum_homs,
     pushforward_state,
@@ -87,10 +86,9 @@ def re_functor(m: NCMorphism, cutoff: float = DEFAULT_CUTOFF) -> float:
     """Relative entropy assigned to a hypothesis.
 
     The target state is compared against the source state pushed back through
-    the CPU map; an optimal hypothesis scores zero.
+    the CPU map (m.pushback); an optimal hypothesis scores zero.
     """
-    back = cpu_pushforward_state(m.source.state, m.cpu)
-    return relative_entropy(m.target.state, back, cutoff)
+    return relative_entropy(m.target.state, m.pushback, cutoff)
 
 
 def _tensor_factor(d: object) -> int:
@@ -101,27 +99,23 @@ def _tensor_factor(d: object) -> int:
     return n
 
 
-def conditional_entropy(
-    s: State, dims: Sequence[int], num_conditioned: int = 1
-) -> float:
+def conditional_entropy(s: State, dims: Sequence[int]) -> float:
     """Flipped-sign conditional entropy of a single-block state on a tensor product.
 
-    dims declares the tensor factorization of the block; the last
-    num_conditioned factors are the conditioning system.  Returns
-    trace(rho ln rho) - trace(rho_cond ln rho_cond), where rho_cond is the
-    reduction onto the conditioning factors.
+    dims declares the tensor factorization of the block; the last factor is
+    the conditioning system.  Returns trace(rho ln rho) - trace(rho_cond ln
+    rho_cond), where rho_cond is the reduction onto the last factor.
     """
     if s.algebra.num_blocks != 1:
         raise ShapeError("conditional entropy needs a single-block algebra")
     dims = tuple(_tensor_factor(d) for d in dims)
-    if not 0 < num_conditioned < len(dims):
-        raise ShapeError("num_conditioned must leave at least one factor on each side")
+    if len(dims) < 2:
+        raise ShapeError("conditional entropy needs at least two tensor factors")
     if math.prod(dims) != s.algebra.block_dims[0]:
         raise ShapeError(
             f"factor dims {dims} do not multiply to block side {s.algebra.block_dims[0]}"
         )
-    head = math.prod(dims[: len(dims) - num_conditioned])
-    tail = math.prod(dims[len(dims) - num_conditioned :])
+    head, tail = math.prod(dims[:-1]), dims[-1]
     rho_tail = partial_trace_left(s.densities[0], head, tail)
     reduced = State(AlgebraSpec((tail,)), (rho_tail,))
     return von_neumann_entropy(reduced) - von_neumann_entropy(s)
@@ -217,7 +211,7 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
         raise ShapeError("re_expansions expects a rectified (standard-form) pair")
     alphas = extract_alphas(f)
     omega = f.target.state
-    mid = cpu_pushforward_state(g.source.state, g.cpu)  # intermediate pushback
+    mid = g.pushback  # intermediate pushback
     # logarithms read off the cached spectra, which relative_entropy reuses
     log_xi = [_spectral_apply(e, np.log) for e in f.source.state.spectra]
     log_mid = [_spectral_apply(e, np.log) for e in mid.spectra]
@@ -241,7 +235,7 @@ def re_expansions(g: NCMorphism, f: NCMorphism) -> ExpansionCheck:
         rhs_inner=term_xi - term_mid,
         rhs_composite=-s_omega - term_alpha - term_mid,
         direct_outer=re_functor(f),
-        direct_inner=relative_entropy(g.target.state, mid),
+        direct_inner=re_functor(g),
         direct_composite=re_functor(compose_morphisms(g, f)),
     )
 
@@ -319,12 +313,14 @@ def chain_rule_report(rho_abc: np.ndarray, dims: Sequence[int]) -> ChainRuleRepo
     if not validity.ok:
         raise ValueError(f"density is not a state: {validity.describe()}")
     f = tensor_inclusion_morphism(density.densities[0], da)
-    omega, xi = f.target.state, f.source.state
-    g = tensor_inclusion_morphism(xi.densities[0], db)
+    omega = f.target.state
+    g = tensor_inclusion_morphism(f.source.state.densities[0], db)
+    xi = g.target.state  # the copy re_functor(g) decomposes
 
-    h_first = conditional_entropy(omega, dims, num_conditioned=2)
-    h_two = conditional_entropy(omega, (da * db, dc), num_conditioned=1)
-    h_second = conditional_entropy(xi, (db, dc), num_conditioned=1)
+    h_first = von_neumann_entropy(xi) - von_neumann_entropy(omega)
+    # h_two and h_second each reduce to rho_C; chain_defect checks they agree
+    h_two = conditional_entropy(omega, (da * db, dc))
+    h_second = conditional_entropy(xi, (db, dc))
     return ChainRuleReport(
         h_first_given_rest=h_first,
         h_second_given_third=h_second,

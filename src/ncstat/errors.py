@@ -31,10 +31,6 @@ class NotAHomomorphismError(ValueError):
         )
 
 
-class NonIntegralMultiplicityError(ValueError):
-    """An extracted block multiplicity is not an integer within tolerance."""
-
-
 class FactorizationError(ValueError):
     """A density segment does not factor through the expected tensor product."""
 

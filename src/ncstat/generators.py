@@ -131,19 +131,22 @@ def gen_mult_matrix(
 
     Every source block appears somewhere (the homomorphism is injective) and
     every target side stays within the configured bound.  Resamples until both
-    hold; the stacked-identity pattern is the guaranteed fallback.
+    hold; the stacked-identity pattern is the guaranteed fallback.  A source
+    block wider than cfg.max_block_dim fits in no target block, so it raises a
+    ShapeError before any draw.
     """
+    for y, n in enumerate(source_dims):
+        if n > cfg.max_block_dim:
+            raise ShapeError(
+                f"source block {y} has side {n}, but no target block may be wider "
+                f"than max_block_dim={cfg.max_block_dim} (source dims {source_dims})"
+            )
     t = len(source_dims)
     options_by_side = {
         m: _columns_summing_to(source_dims, m)
         for m in range(1, cfg.max_block_dim + 1)
     }
     feasible = [m for m, options in options_by_side.items() if options]
-    if not feasible:
-        raise ShapeError(
-            f"no target side up to max_block_dim={cfg.max_block_dim} holds "
-            f"a source block of source dims {source_dims}"
-        )
     for _ in range(200):
         s = int(rng.integers(1, cfg.max_blocks + 1))
         cols = []

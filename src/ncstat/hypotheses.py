@@ -10,6 +10,7 @@ such hypotheses through segmentwise tensor factorizations of densities.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,6 +84,11 @@ class NCMorphism:
             raise AlgebraMismatchError("CPU map source mismatch")
         if self.cpu.target != self.source.algebra:
             raise AlgebraMismatchError("CPU map target mismatch")
+
+    @cached_property
+    def pushback(self) -> State:
+        """The source state after the CPU map, xi after Q, built once per morphism."""
+        return cpu_pushforward_state(self.source.state, self.cpu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,8 +222,7 @@ def is_optimal(m: NCMorphism, atol: float = DEFAULT_ATOL) -> tuple[bool, float]:
     Returns the flag and the Frobenius residual between the two states.
     """
     check_tolerance("atol", atol)
-    back = cpu_pushforward_state(m.source.state, m.cpu)
-    residual = state_distance(back, m.target.state)
+    residual = state_distance(m.pushback, m.target.state)
     return residual <= atol, residual
 
 
@@ -270,7 +275,7 @@ def _check_composable(g: NCMorphism, f: NCMorphism):
     if f.source.algebra != g.target.algebra:
         raise ObjectMismatchError("middle algebras differ")
     d = state_distance(f.source.state, g.target.state)
-    if d > OBJECT_STATE_ATOL:
+    if not d <= OBJECT_STATE_ATOL:
         raise ObjectMismatchError(
             f"middle states differ by {d:.3e} (tolerance {OBJECT_STATE_ATOL:.1e})"
         )
@@ -303,9 +308,9 @@ def _factor_state(
     so s must already be in the standard frame; the conjugators are ignored.
     Returns the alpha family, or a NoDisintegration carrying the Frobenius norm
     of all segment residuals.  Off-diagonal segments are compared against zero
-    at absolute atol; diagonal segments must factor within relative atol.  A
-    weightless reference leaves its alpha row unconstrained, and the uniform
-    choice is written there.
+    at absolute atol; diagonal segments must factor within relative atol; a
+    NaN residual fails.  A weightless reference leaves its alpha row
+    unconstrained, and the uniform choice is written there.
     """
     check_tolerance("atol", atol)
     # one pseudo-inverse and its normalizer per weighted source block with a copy
@@ -323,7 +328,7 @@ def _factor_state(
                 if y != yp:
                     off = np.linalg.norm(density[sy, sp])
                     sq_residual += off**2
-                    if off > atol:
+                    if not off <= atol:
                         ok = False
         for y, (sy, ref) in enumerate(zip(segs, refs)):
             c = hom.mult[y][x]
@@ -335,7 +340,7 @@ def _factor_state(
                 rows[y][x] = np.eye(c) / sum(hom.mult[y])
                 leak = float(np.linalg.norm(seg))
                 sq_residual += leak**2
-                if leak > 10 * atol:
+                if not leak <= 10 * atol:
                     ok = False
                 continue
             ref_pinv, denom = inverses[y]
@@ -344,7 +349,7 @@ def _factor_state(
             alpha = (alpha + alpha.conj().T) / 2
             r = np.linalg.norm(seg - np.kron(alpha, ref))
             sq_residual += r**2
-            if r > atol * max(np.linalg.norm(seg), atol):
+            if not r <= atol * max(np.linalg.norm(seg), atol):
                 ok = False
             rows[y][x] = alpha
     if not ok:
@@ -360,18 +365,17 @@ def extract_alphas(m: NCMorphism) -> AlphaFamily:
     The source state pushed through the CPU map must decompose, per target
     block, as a direct sum over source blocks of alpha_yx kron (source block
     density).  Raises FactorizationError when any off-diagonal segment or
-    factorization residual exceeds tolerance, which signals the CPU map is not
-    in disintegration form.  Source blocks with weight below DEFAULT_ATOL are
-    unconstrained and get the uniform choice.
+    factorization residual exceeds tolerance or is NaN, which signals the CPU
+    map is not in disintegration form.  Source blocks with weight below
+    DEFAULT_ATOL are unconstrained and get the uniform choice.
     """
     if not m.hom.is_standard():
         raise ShapeError("extract_alphas expects a standard-form homomorphism")
-    back = cpu_pushforward_state(m.source.state, m.cpu)
-    family = _factor_state(back, m.hom, m.source.state.densities, DEFAULT_ATOL)
+    family = _factor_state(m.pushback, m.hom, m.source.state.densities, DEFAULT_ATOL)
     if isinstance(family, NoDisintegration):
         raise FactorizationError(family.residual, family.detail)
     row_defect = float(np.max(np.abs(family.row_traces() - 1.0)))
-    if row_defect > 10 * DEFAULT_ATOL:
+    if not row_defect <= 10 * DEFAULT_ATOL:
         raise FactorizationError(
             row_defect, f"alpha rows are not normalized (defect {row_defect:.3e})"
         )

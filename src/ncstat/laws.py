@@ -346,11 +346,8 @@ def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:
     r = rectify_pair(inner, outer)
     g, f = r.morphisms
     alphas = extract_alphas(f)
-    mid = cpu_pushforward_state(g.source.state, g.cpu)
-    back = cpu_pushforward_state(
-        g.source.state, compose_morphisms(g, f).cpu
-    )
-    assembled = alphas.assemble(f.hom, mid.densities)
+    back = compose_morphisms(g, f).pushback
+    assembled = alphas.assemble(f.hom, g.pushback.densities)
     worst = max(
         float(np.linalg.norm(a - b)) for a, b in zip(assembled, back.densities)
     )

@@ -38,7 +38,6 @@ from .algebra import (
 )
 from .errors import (
     AlgebraMismatchError,
-    NonIntegralMultiplicityError,
     NotAHomomorphismError,
     ShapeError,
 )
@@ -336,10 +335,13 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
         for x, one in enumerate(ones[y]):
             tr = np.trace(one).real / n
             c = round(tr)
-            if not abs(tr - c) <= DEFAULT_ATOL:
-                raise NonIntegralMultiplicityError(
+            miss = abs(tr - c)
+            if not miss <= DEFAULT_ATOL:
+                raise NotAHomomorphismError(
+                    "integrality",
+                    miss,
                     f"multiplicity of source block {y} in target block {x} "
-                    f"is {tr:.6f}, not an integer within tolerance"
+                    f"misses the integer {c} by {miss:.3e}",
                 )
             mult[y][x] = int(c)
 

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from ncstat.hypotheses import (
     compose_morphisms,
     extract_alphas,
     is_optimal,
+    rectify_morphism,
     rectify_pair,
     validate_morphism,
 )
@@ -242,7 +244,56 @@ def test_conditional_entropy_values():
 
 def test_conditional_entropy_two_factors_conditioned():
     s = State(AlgebraSpec((8,)), (np.eye(8) / 8,))
-    assert abs(conditional_entropy(s, (2, 2, 2), num_conditioned=2) + LN2) < 1e-12
+    assert abs(conditional_entropy(s, (2, 4)) + LN2) < 1e-12
+
+
+def _reference_conditional_entropy(s, dims, num_conditioned):
+    """conditional_entropy as it was, conditioning on the last num_conditioned
+    factors."""
+    head = math.prod(dims[: len(dims) - num_conditioned])
+    tail = math.prod(dims[len(dims) - num_conditioned :])
+    rho_tail = partial_trace_left(s.densities[0], head, tail)
+    reduced = State(AlgebraSpec((tail,)), (rho_tail,))
+    return von_neumann_entropy(reduced) - von_neumann_entropy(s)
+
+
+def test_conditional_entropy_matches_the_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for faithful in (True, False, True, False):
+        s = State(AlgebraSpec((8,)), (gen_density(rng, 8, faithful),))
+        want_two = _reference_conditional_entropy(s, (2, 2, 2), 2)
+        assert conditional_entropy(s, (2, 4)) == want_two
+        want_one = _reference_conditional_entropy(s, (2, 2, 2), 1)
+        assert conditional_entropy(s, (2, 2, 2)) == want_one
+
+
+def test_chain_rule_entropies_match_the_reference_bit_for_bit():
+    rng = np.random.default_rng(9)
+    for dims in [(2, 2, 2), (1, 2, 4), (2, 3, 2), (3, 1, 2), (2, 2, 1)]:
+        side = math.prod(dims)
+        rho = gen_density(rng, side, faithful=bool(rng.random() < 0.5))
+        rep = chain_rule_report(rho, dims)
+        omega = State(AlgebraSpec((side,)), (rho,))
+        assert rep.h_first_given_rest == _reference_conditional_entropy(omega, dims, 2)
+        assert rep.h_firsttwo_given_third == _reference_conditional_entropy(
+            omega, dims, 1
+        )
+
+
+def test_chain_rule_report_decomposes_seven_densities(monkeypatch):
+    # rho_ABC, rho_BC, rho_C once per conditional entropy that reduces to it,
+    # and the pushbacks of the outer, inner and composite inclusions
+    rho = gen_density(np.random.default_rng(55), 8)
+    seen = []
+    real = algebra.hermitian_eigen
+
+    def spy(m):
+        seen.append(m.shape)
+        return real(m)
+
+    monkeypatch.setattr(algebra, "hermitian_eigen", spy)
+    chain_rule_report(rho, (2, 2, 2))
+    assert sorted(seen) == [(2, 2), (2, 2), (4, 4), (4, 4), (8, 8), (8, 8), (8, 8)]
 
 
 def test_tensor_inclusion_morphism_valid():
@@ -376,6 +427,43 @@ def test_re_expansions_decomposes_each_middle_density_once(monkeypatch):
     re_expansions(g, f)
     for d in mid.densities:
         assert sum(np.array_equal(m, d) for m in seen) == 1
+
+
+def _count_pushbacks(monkeypatch) -> list:
+    """Count cpu_pushforward_state calls through every ncstat module binding."""
+    real, calls = cpu_pushforward_state, []
+
+    def spy(s, q):
+        calls.append(q)
+        return real(s, q)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ncstat") and vars(mod).get("cpu_pushforward_state") is real:
+            monkeypatch.setattr(mod, "cpu_pushforward_state", spy)
+    return calls
+
+
+def test_one_pushback_per_morphism(monkeypatch):
+    calls = _count_pushbacks(monkeypatch)
+    for t in range(4):
+        m = rectify_morphism(gen_optimal_morphism(CFG, rng_for(CFG, t))).morphism
+        before = len(calls)
+        assert is_optimal(m)[0]
+        re_functor(m)
+        extract_alphas(m)
+        is_optimal(m)
+        assert len(calls) == before + 1
+        want = cpu_pushforward_state(m.source.state, m.cpu)  # not spied on here
+        for a, b in zip(m.pushback.densities, want.densities):
+            assert np.array_equal(a, b)
+
+
+def test_re_expansions_builds_three_pushbacks(monkeypatch):
+    inner, outer = gen_composable_pair(CFG, rng_for(CFG, 3))
+    g, f = rectify_pair(inner, outer).morphisms
+    calls = _count_pushbacks(monkeypatch)
+    re_expansions(g, f)
+    assert len(calls) == 3  # one each for f, g and their composite
 
 
 def test_tensor_factors_must_be_integers():

@@ -122,6 +122,16 @@ def test_gen_mult_matrix_without_feasible_side_names_the_cause():
     assert rng.bit_generator.state == before  # raised before any draw
 
 
+def test_gen_mult_matrix_rejects_one_block_wider_than_the_bound():
+    # block 0 fits some target side, so only a per-block check sees block 1
+    cfg = GeneratorConfig(seed=1, max_block_dim=4)
+    rng = np.random.default_rng(0)
+    before = rng.bit_generator.state
+    with pytest.raises(ShapeError, match=r"block 1 has side 8.*max_block_dim=4 "):
+        gen_star_hom(rng, AlgebraSpec((1, 8)), cfg)
+    assert rng.bit_generator.state == before  # raised before any draw
+
+
 def test_gen_star_hom_standard_flag():
     rng = rng_for(CFG, 4)
     alg = gen_algebra(rng, CFG)

@@ -654,3 +654,31 @@ def test_build_rejects_mismatched_alphas():
     xi = State(src, (np.eye(2) / 2,))
     with pytest.raises(ShapeError):
         build_hypothesis_from_alphas(hom, xi, AlphaFamily(((np.eye(1),),)))
+
+
+def _nan_state(alg: AlgebraSpec) -> State:
+    return State(alg, (np.diag([np.nan, 0.5]),))
+
+
+def test_disintegration_of_a_nan_state_is_obstructed():
+    hom = StarHom(AlgebraSpec((1, 1)), AlgebraSpec((2,)), ((1,), (1,)), (np.eye(2),))
+    result = construct_optimal_hypothesis(hom, _nan_state(hom.target))
+    assert isinstance(result, NoDisintegration)
+    assert math.isnan(result.residual)
+
+
+def test_extract_alphas_rejects_a_nan_state():
+    alg = AlgebraSpec((2,))
+    obj = NCObject(_nan_state(alg))
+    with pytest.raises(FactorizationError):
+        extract_alphas(NCMorphism(obj, obj, identity_hom(alg), identity_cpu(alg)))
+
+
+def test_a_nan_middle_state_is_not_composable():
+    alg = AlgebraSpec((2,))
+    good, bad = NCObject(State(alg, (np.eye(2) / 2,))), NCObject(_nan_state(alg))
+    g = NCMorphism(good, good, identity_hom(alg), identity_cpu(alg))
+    f = NCMorphism(bad, good, identity_hom(alg), identity_cpu(alg))
+    for fn in (compose_morphisms, rectify_pair):
+        with pytest.raises(ObjectMismatchError, match="differ by nan"):
+            fn(g, f)

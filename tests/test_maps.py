@@ -489,6 +489,19 @@ def test_nan_in_a_unit_image_fails_an_axiom(unit, axiom):
     assert exc.value.axiom == axiom
 
 
+def test_non_integral_multiplicity_fails_the_integrality_axiom():
+    # P0 = diag(1, d, ..., d) is d-close to a projection and P1 = 1 - P0, so
+    # unitality, adjoint and multiplicativity hold at DEFAULT_ATOL while the
+    # trace of P0 misses 1 by 15 d = 3e-9
+    src, tgt, d = AlgebraSpec((1, 1)), AlgebraSpec((16,)), 2e-10
+    p0 = np.diag([1.0] + [d] * 15)
+    columns = np.column_stack([p0.ravel(), (np.eye(16) - p0).ravel()])
+    with pytest.raises(NotAHomomorphismError, match="integer 1 by 3.000e-09") as exc:
+        hom_from_raw(RawLinearMap(src, tgt, columns))
+    assert exc.value.axiom == "integrality"
+    assert abs(exc.value.residual - 15 * d) < 1e-15
+
+
 def test_nan_conjugator_is_not_unitary():
     u = np.eye(2, dtype=complex)
     u[0, 1] = np.nan
