@@ -416,7 +416,11 @@ def build_hypothesis_from_alphas(
             return np.zeros((m * n, m * n), dtype=np.complex128)
         alpha, seg = alphas.blocks[y][x], hom.segments[x][y]
         choi = choi_from_function(
-            lambda e: np.einsum("kl,ljkJ->jJ", alpha, e.reshape(c, n, c, n)), c * n, n
+            lambda e: np.einsum(
+                "kl,...ljkJ->...jJ", alpha, e.reshape(e.shape[:-2] + (c, n, c, n))
+            ),
+            c * n,
+            n,
         )
         return _fold_conjugation(choi, hom.conjugators[x][:, seg].conj(), True)
 

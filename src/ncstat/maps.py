@@ -383,17 +383,22 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
 def choi_from_function(
     fn: Callable[[np.ndarray], np.ndarray], m: int, n: int
 ) -> np.ndarray:
-    """Choi matrix of a linear map M_m -> M_n given by its action on matrices."""
-    c = np.zeros((m * n, m * n), dtype=np.complex128)
-    for i in range(m):
-        for j in range(m):
-            e = np.zeros((m, m), dtype=np.complex128)
-            e[i, j] = 1.0
-            fe = np.asarray(fn(e), dtype=np.complex128)
-            if fe.shape != (n, n):
-                raise ShapeError(f"map output must be {n}x{n}, got {fe.shape}")
-            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = fe
-    return c
+    """Choi matrix of a linear map M_m -> M_n given by its action on matrices.
+
+    fn is called once on the (m, m, m, m) stack of matrix units (units[i, j] =
+    E_ij), acts on the last two axes and returns the (m, m, n, n) stack of
+    images.  A second call on E_{m-1,0} alone must give its slice of the stack,
+    so a map that does not broadcast (such as e.T) is refused.
+    """
+    units = np.eye(m * m, dtype=np.complex128).reshape(m, m, m, m)
+    fe = np.asarray(fn(units), dtype=np.complex128)
+    if fe.shape != (m, m, n, n):
+        raise ShapeError(f"map output must be {(m, m, n, n)}, got {fe.shape}")
+    probe = np.asarray(fn(units[m - 1, 0]), dtype=np.complex128)
+    diff = probe.shape != (n, n) or np.max(np.abs(probe - fe[m - 1, 0]))
+    if diff > 1e-12 * max(1.0, np.max(np.abs(fe[m - 1, 0]))):
+        raise ShapeError("map must act on the last two axes of a stack of matrices")
+    return fe.transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
 def apply_choi(choi: np.ndarray, a: np.ndarray, m: int, n: int) -> np.ndarray:

@@ -342,7 +342,12 @@ def test_validate_cpu_runs_eigvalsh_only_where_cholesky_fails(monkeypatch):
     q = CPUMap(
         AlgebraSpec((3, 3)),
         AlgebraSpec((3,)),
-        ((choi_from_function(lambda e: e, 3, 3), choi_from_function(lambda e: e.T, 3, 3)),),
+        (
+            (
+                choi_from_function(lambda e: e, 3, 3),
+                choi_from_function(lambda e: np.swapaxes(e, -1, -2), 3, 3),
+            ),
+        ),
     )
     cp = [v for v in validate_cpu(q).violations if v.kind == "cp"]
     assert len(calls) == 1

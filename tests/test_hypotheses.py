@@ -57,7 +57,7 @@ CFG = GeneratorConfig(seed=1234, trials=10)
 
 
 def cpu_from_functions(source, target, fn):
-    """CPUMap from the componentwise action fn(y, x, input), one unit at a time."""
+    """CPUMap from the componentwise action fn(y, x, stack of inputs)."""
     return CPUMap(
         source,
         target,
@@ -407,10 +407,10 @@ def _standard_frame_reference(hom, xi, alphas):
     def component(y, x, a):
         c, n = hom.mult[y][x], dims_src[y]
         if c == 0:
-            return np.zeros((n, n), dtype=np.complex128)
+            return np.zeros(a.shape[:-2] + (n, n), dtype=np.complex128)
         lo, hi = offsets[x][y], offsets[x][y + 1]
-        seg = a[lo:hi, lo:hi].reshape(c, n, c, n)
-        return np.einsum("kl,ljkJ->jJ", alphas.blocks[y][x], seg)
+        seg = a[..., lo:hi, lo:hi].reshape(a.shape[:-2] + (c, n, c, n))
+        return np.einsum("kl,...ljkJ->...jJ", alphas.blocks[y][x], seg)
 
     cpu = cpu_from_functions(hom.target, hom.source, component)
     densities = []
@@ -475,8 +475,9 @@ def test_build_on_identity_conjugators_matches_standard_frame(monkeypatch):
 
 def test_build_evaluates_segment_units_only(monkeypatch):
     # each nonzero component's Choi matrix is built on its diagonal segment,
-    # side c * n, from (c * n)^2 unit evaluations; a zero multiplicity makes
-    # no call.  Checked on a standard and on a Haar-conjugated hom.
+    # side s = c * n, from one evaluation on the (s, s, s, s) unit stack and
+    # the broadcast check's one on a single (s, s) unit; a zero multiplicity
+    # makes no call.  Checked on a standard and on a Haar-conjugated hom.
     import ncstat.hypotheses as hyp
     import ncstat.maps as maps
 
@@ -497,10 +498,10 @@ def test_build_evaluates_segment_units_only(monkeypatch):
 
         def spy(fn, m, n):
             def counted(e):
-                calls[-1][2] += 1
+                calls[-1][2].append(e.shape)
                 return fn(e)
 
-            calls.append([m, n, 0])
+            calls.append([m, n, []])
             return choi_from_function(counted, m, n)
 
         monkeypatch.setattr(maps, "choi_from_function", spy)
@@ -509,7 +510,7 @@ def test_build_evaluates_segment_units_only(monkeypatch):
         alphas = gen_alpha_family(np.random.default_rng(7), hom.mult)
         m = build_hypothesis_from_alphas(hom, xi, alphas)
         expected = [
-            [c * n, n, (c * n) ** 2]
+            [c * n, n, [(c * n,) * 4, (c * n,) * 2]]
             for c_row, n in zip(hom.mult, hom.source.block_dims)
             for c in c_row
             if c

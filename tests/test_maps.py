@@ -17,10 +17,13 @@ from ncstat.errors import (
 from ncstat.generators import (
     GeneratorConfig,
     gen_algebra,
+    gen_alpha_family,
     gen_star_hom,
+    gen_state,
     haar_unitary,
     rng_for,
 )
+from ncstat.hypotheses import build_hypothesis_from_alphas
 from ncstat.maps import (
     CPUMap,
     RawLinearMap,
@@ -46,8 +49,19 @@ from ncstat.maps import (
 )
 
 
+def _reference_choi_from_function(fn, m, n):
+    """The Choi matrix built one matrix unit at a time, fn on single matrices."""
+    c = np.zeros((m * n, m * n), dtype=np.complex128)
+    for i in range(m):
+        for j in range(m):
+            e = np.zeros((m, m), dtype=np.complex128)
+            e[i, j] = 1.0
+            c[i * n : (i + 1) * n, j * n : (j + 1) * n] = fn(e)
+    return c
+
+
 def cpu_from_functions(source, target, fn):
-    """CPUMap from the componentwise action fn(y, x, input), one unit at a time."""
+    """CPUMap from the componentwise action fn(y, x, stack of inputs)."""
     return CPUMap(
         source,
         target,
@@ -233,10 +247,67 @@ def test_choi_identity_and_transpose():
     vals = np.linalg.eigvalsh(ident)
     assert np.allclose(vals, [0.0, 0.0, 0.0, 2.0], atol=1e-12)
 
-    transpose = choi_from_function(lambda e: e.T, 2, 2)
+    transpose = choi_from_function(lambda e: np.swapaxes(e, -1, -2), 2, 2)
     # transpose Choi is the swap operator: hermitian but not PSD
     assert np.allclose(transpose, transpose.conj().T)
     assert abs(np.linalg.eigvalsh(transpose)[0] + 1.0) < 1e-12
+
+
+def test_choi_from_function_rejects_maps_that_do_not_broadcast():
+    # on the unit stack, e.T reverses all four axes and gives the stack back,
+    # so without the single-unit check it would build the identity's Choi
+    m = 3
+    with pytest.raises(ShapeError, match="must act on the last two axes"):
+        choi_from_function(lambda e: e.T, m, m)
+    swap = choi_from_function(lambda e: np.swapaxes(e, -1, -2), m, m)
+    # swap[(i, k), (j, l)] = delta_il delta_kj
+    rows = [b * m + a for a in range(m) for b in range(m)]
+    assert np.array_equal(swap, np.eye(m * m)[rows])
+    assert abs(np.linalg.eigvalsh(swap)[0] + 1.0) < 1e-12
+    with pytest.raises(ShapeError, match="map output must be"):
+        choi_from_function(lambda e: e, m, m + 1)
+
+
+@pytest.mark.parametrize("m, n", [(1, 3), (2, 2), (3, 2), (4, 5)])
+def test_choi_from_function_matches_unit_loop(m, n):
+    rng = np.random.default_rng(10 * m + n)
+    kraus = rng.standard_normal((3, n, m)) + 1j * rng.standard_normal((3, n, m))
+
+    def fn(e):
+        return sum(k @ e @ k.conj().T for k in kraus)
+
+    assert np.array_equal(
+        choi_from_function(fn, m, n), _reference_choi_from_function(fn, m, n)
+    )
+
+
+def test_build_hypothesis_components_match_unit_loop(monkeypatch):
+    # the builder's segment map evaluated on the whole unit stack at once gives
+    # the same bits as one evaluation per unit, on Haar-conjugated homs with
+    # target sides up to 32 (the last one is the ladder's side-32 shape)
+    import ncstat.hypotheses as hyp
+
+    cfg = GeneratorConfig(seed=23, max_block_dim=32)
+    homs = []
+    for t in range(12):
+        rng = rng_for(cfg, t)
+        source = gen_algebra(rng, GeneratorConfig(max_block_dim=8))
+        homs.append((gen_star_hom(rng, source, cfg), rng))
+    rng = np.random.default_rng(24)
+    u = haar_unitary(rng, 32)
+    homs.append((StarHom(AlgebraSpec((8, 8)), AlgebraSpec((32,)), ((2,), (2,)), (u,)), rng))
+    assert max(max(hom.target.block_dims) for hom, _ in homs) == 32
+    for hom, rng in homs:
+        assert not hom.is_standard()
+        xi = gen_state(hom.source, cfg, rng, faithful=True)
+        alphas = gen_alpha_family(rng, hom.mult)
+        m = build_hypothesis_from_alphas(hom, xi, alphas)
+        with monkeypatch.context() as mp:
+            mp.setattr(hyp, "choi_from_function", _reference_choi_from_function)
+            ref = build_hypothesis_from_alphas(hom, xi, alphas)
+        for row, ref_row in zip(m.cpu.components, ref.cpu.components):
+            for c, c_ref in zip(row, ref_row):
+                assert np.array_equal(c, c_ref)
 
 
 def test_choi_apply_and_dual_pair():
@@ -557,7 +628,7 @@ def test_identity_cpu_and_validation():
 
 def test_validate_cpu_flags_transpose():
     alg = AlgebraSpec((2,))
-    q = cpu_from_functions(alg, alg, lambda y, x, e: e.T)
+    q = cpu_from_functions(alg, alg, lambda y, x, e: np.swapaxes(e, -1, -2))
     rep = validate_cpu(q)
     assert not rep.ok
     cp = [v for v in rep.violations if v.kind == "cp"]
@@ -592,12 +663,12 @@ def test_compose_cpu_matches_pointwise():
     c = AlgebraSpec((3,))
 
     def k1(y, x, e):
-        return e[:1, :1] * np.eye(2) if x == 0 else e * np.eye(2)
+        return e[..., :1, :1] * np.eye(2) if x == 0 else e * np.eye(2)
 
     def k2(y, x, e):
-        out = np.zeros((3, 3), dtype=complex)
-        out[:2, :2] = e
-        out[2, 2] = np.trace(e) / 2
+        out = np.zeros(e.shape[:-2] + (3, 3), dtype=complex)
+        out[..., :2, :2] = e
+        out[..., 2, 2] = np.trace(e, axis1=-2, axis2=-1) / 2
         return out
 
     q1 = cpu_from_functions(a, b, lambda y, x, e: k1(y, x, e) / 2)
