@@ -279,6 +279,31 @@ def _mult_defect_bound(stacks: list[np.ndarray], units: list[np.ndarray]) -> flo
     return float(r1 * (1 + k) ** 2 + k**2 * r2 + 2 * e * (1 + k) ** 2)
 
 
+def _reconstruction_bound(
+    f: StarHom, stacks: list[np.ndarray], units: list[np.ndarray], a: float, d: float
+) -> float:
+    """A bound on every ||F(E_ij) - P_ij|| from the images F(E_i0); NaN stays NaN.
+
+    F is the action of f; a and d bound the adjoint and multiplicativity defects
+    of the unit images P_ij.  F(E_i0) F(E_j0)^H is F(E_ij) up to sqrt(s) (1 + u) u
+    over s target blocks, u the worst ||U^H U - 1||, and P_i0 P_j0^H is P_ij up
+    to K a + d, K the largest norm of a P_i0 in one block.  With e the worst
+    ||F(E_i0) - P_i0||, each unit is off by sqrt(s) (1+u) u + e (1+u+K) + K a + d.
+    """
+    dims, images = f.source.block_dims, []  # F(E_i0) over every (y, i)
+    for y, n in enumerate(dims):
+        for i in range(n):
+            blocks = [np.zeros((m, m)) for m in dims]
+            blocks[y][i, 0] = 1.0
+            images.append(apply_hom(f, AlgebraElement(f.source, tuple(blocks))).blocks)
+    gens = np.concatenate([idx[0] for idx in units])  # P_i0 in the same order
+    diffs = [np.array(g) - st[gens] for st, g in zip(stacks, zip(*images))]
+    e = np.sqrt(np.max(sum((np.abs(df) ** 2).sum(axis=(1, 2)) for df in diffs)))
+    k = np.sqrt(np.max([(np.abs(st[gens]) ** 2).sum(axis=(1, 2)) for st in stacks]))
+    u = np.max([np.linalg.norm(c.conj().T @ c - np.eye(len(c))) for c in f.conjugators])
+    return float(np.sqrt(len(stacks)) * (1 + u) * u + e * (1 + u + k) + k * a + d)
+
+
 def hom_from_raw(raw: RawLinearMap) -> StarHom:
     """Recover multiplicities and conjugators from a raw unital *-homomorphism.
 
@@ -296,6 +321,8 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     The axioms and the integrality of the multiplicities, which with unitality
     make them fill every target block, are checked at DEFAULT_ATOL, the
     reconstruction from the assembled conjugators at 1e-7; a NaN fails each.
+    It is bounded from the generators E_i0 (_reconstruction_bound); only where twice
+    that (room for rounding) exceeds 1e-7 is every unit rebuilt (hom_to_raw).
     """
     src, tgt = raw.source, raw.target
     n_dims = src.block_dims
@@ -325,7 +352,8 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     if not adj_defect <= DEFAULT_ATOL:
         raise NotAHomomorphismError("adjoint", adj_defect)
 
-    if not _mult_defect_bound(stacks, units) <= DEFAULT_ATOL / 2:
+    mult_defect = _mult_defect_bound(stacks, units)
+    if not mult_defect <= DEFAULT_ATOL / 2:
         mult_defect = _pairwise_mult_defect(stacks, units)
         if not mult_defect <= DEFAULT_ATOL:
             raise NotAHomomorphismError("multiplicative", mult_defect)
@@ -367,6 +395,9 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
         conjugators.append(np.column_stack(cols))
 
     result = StarHom(src, tgt, mult, tuple(conjugators))
+    bound = _reconstruction_bound(result, stacks, units, adj_defect, mult_defect)
+    if 2 * bound <= 1e-7:
+        return result
     # column norms of the difference are Frobenius distances of unit images
     recon = float(
         np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))

@@ -1,10 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from ncstat import laws
 from ncstat.algebra import (
+    DEFAULT_CUTOFF,
     AlgebraSpec,
     State,
     ValidationReport,
@@ -183,6 +185,51 @@ def test_run_laws_small_config_passes():
     assert len(report.results) == len(LAWS)
     doc = report.to_json()
     assert doc["ok"] and len(doc["laws"]) == len(LAWS)
+
+
+def test_run_laws_fails_a_law_whose_trials_give_nan(monkeypatch):
+    defects = iter([1e-12, math.nan, 1e-11])
+    law = ("nan-law", 1e-9, lambda rng, cfg: laws.TrialOutcome(defect=next(defects)))
+    monkeypatch.setattr(laws, "LAWS", (law,))
+    report = run_laws(GeneratorConfig(seed=3, trials=3))
+    (result,) = report.results
+    assert result.failing_trials == (1,)
+    assert math.isnan(result.max_defect)  # a later finite defect does not hide it
+    assert not report.ok
+    assert report.summary().splitlines() == [
+        "FAIL  nan-law  trials=3  max_defect=nan  tol=1.0e-09",
+        "LAW FAILURES PRESENT",
+    ]
+
+
+def _spectral_roundtrip_report(max_dim: int, trials: int, monkeypatch):
+    law = next(entry for entry in LAWS if entry[0] == "spectral-roundtrip")
+    monkeypatch.setattr(laws, "LAWS", (law,))
+    cfg = GeneratorConfig(seed=42, trials=trials, max_block_dim=max_dim)
+    return run_laws(cfg).results[0]
+
+
+@pytest.mark.parametrize("max_dim, trials", [(24, 10), (32, 8)])
+def test_spectral_roundtrip_holds_at_the_ladder_sides(monkeypatch, max_dim, trials):
+    # seed 42 draws h with a spectral spread past ln(1 / DEFAULT_CUTOFF) here
+    result = _spectral_roundtrip_report(max_dim, trials, monkeypatch)
+    assert result.passed
+
+
+def test_spectral_roundtrip_catches_a_log_that_drops_a_kept_eigenvalue(monkeypatch):
+    calls = []
+
+    def dropping_log(m):
+        calls.append(m)
+        vals, vecs = np.linalg.eigh(m)
+        keep = vals > DEFAULT_CUTOFF * vals[-1]
+        keep[np.argmax(keep)] = False  # the smallest kept eigenvalue
+        return (vecs[:, keep] * np.log(vals[keep])) @ vecs[:, keep].conj().T
+
+    monkeypatch.setattr(laws, "hermitian_log", dropping_log)
+    result = _spectral_roundtrip_report(GeneratorConfig().max_block_dim, 40, monkeypatch)
+    assert result.failures == 40
+    assert len(calls) == 80  # both halves run on every trial at the default bounds
 
 
 def test_law_report_json_layout():

@@ -549,6 +549,101 @@ def test_pairwise_mult_check_runs_only_where_the_bound_fails(monkeypatch):
         hom_from_raw(RawLinearMap(alg, alg, transpose))
 
 
+def _reference_adj_defect(raw: RawLinearMap) -> float:
+    # worst ||F(E_ji) - F(E_ij)^H|| over all matrix units, all target blocks
+    stacks, units = _stacks_and_units(raw)
+    return max(
+        np.sqrt(sum(np.linalg.norm(st[u] - st[v].conj().T) ** 2 for st in stacks))
+        for idx in units
+        for u, v in zip(idx.ravel(), idx.T.ravel())
+    )
+
+
+def _units_residual(f: StarHom, raw: RawLinearMap) -> float:
+    # the all-units reconstruction residual hom_from_raw falls back to
+    return float(np.max(np.linalg.norm(hom_to_raw(f).matrix - raw.matrix, axis=0)))
+
+
+def _with_unitarity_defect(rng, f: StarHom) -> StarHom:
+    # U (1 + t H), H Hermitian of unit norm: U^H U is about 2 t H off the identity
+    conj = []
+    for u in f.conjugators:
+        m = len(u)
+        h = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        h = (h + h.conj().T) / np.linalg.norm(h + h.conj().T)
+        conj.append(u @ (np.eye(m) + rng.uniform(0.05, 0.45) * maps.UNITARY_ATOL * h))
+    return StarHom(f.source, f.target, f.mult, tuple(conj))
+
+
+CERTIFICATE_KINDS = ("valid", "perturbed", "noisy", "non-unitary")
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_reconstruction_bound_is_at_least_the_all_units_residual(kind):
+    rng = np.random.default_rng([240, CERTIFICATE_KINDS.index(kind)])
+    wide = 0  # draws with two or more source blocks and a multiplicity >= 2
+    for _ in range(25):
+        f = _random_hom(rng)
+        wide += f.source.num_blocks >= 2 and np.max(f.mult) >= 2
+        raw = hom_to_raw(f)
+        if kind == "perturbed":  # multiplicative defect up to about 1e-10
+            raw = _perturbed(raw, 10 ** rng.uniform(-13, -11))
+        elif kind == "noisy":  # every axiom off by up to about 1e-11
+            noise = rng.standard_normal(raw.matrix.shape) * 10 ** rng.uniform(-14, -12)
+            raw = RawLinearMap(raw.source, raw.target, raw.matrix + noise)
+        result = hom_from_raw(raw)
+        if kind == "non-unitary":
+            result = _with_unitarity_defect(rng, result)
+        a, d = _reference_adj_defect(raw), _reference_mult_defect(raw)
+        assert a <= DEFAULT_ATOL and d <= DEFAULT_ATOL
+        bound = maps._reconstruction_bound(result, *_stacks_and_units(raw), a, d)
+        assert bound >= _units_residual(result, raw)
+        assert 2 * bound <= 1e-7  # certified: hom_from_raw skips the all-units check
+    assert wide >= 3
+
+
+def test_hom_from_raw_rebuilds_only_the_generators(monkeypatch):
+    # the ladder's (8) -> (16) hom: 8 generators E_i0 instead of 64 unit images
+    rng = np.random.default_rng(241)
+    f = StarHom(AlgebraSpec((8,)), AlgebraSpec((16,)), ((2,),), (haar_unitary(rng, 16),))
+    raw = hom_to_raw(f)
+    calls = []
+
+    def counting_apply_hom(g, a):
+        calls.append(a)
+        return apply_hom(g, a)
+
+    def refuse(g):
+        raise AssertionError("all unit images were rebuilt")
+
+    monkeypatch.setattr(maps, "apply_hom", counting_apply_hom)
+    monkeypatch.setattr(maps, "hom_to_raw", refuse)
+    back = hom_from_raw(raw)
+    assert len(calls) == 8
+    assert back.mult == f.mult
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_full_reconstruction_check_runs_where_the_bound_is_not_finite(monkeypatch, value):
+    rng = np.random.default_rng(242)
+    raws = [hom_to_raw(_random_hom(rng)) for _ in range(10)]
+    certified = [hom_from_raw(raw) for raw in raws]
+    rebuilt = []
+
+    def counting_hom_to_raw(g):
+        rebuilt.append(g)
+        return hom_to_raw(g)
+
+    monkeypatch.setattr(maps, "_reconstruction_bound", lambda *args: value)
+    monkeypatch.setattr(maps, "hom_to_raw", counting_hom_to_raw)
+    for raw, want in zip(raws, certified):
+        got = hom_from_raw(raw)
+        assert got.mult == want.mult
+        for a, b in zip(got.conjugators, want.conjugators):
+            assert np.array_equal(a, b)
+    assert len(rebuilt) == len(raws)
+
+
 @pytest.mark.parametrize("unit, axiom", [(0, "unital"), (2, "adjoint")])
 def test_nan_in_a_unit_image_fails_an_axiom(unit, axiom):
     # column 0 is the image of E_00, column 2 that of E_01
