@@ -246,49 +246,23 @@ def _pairwise_mult_defect(stacks: list[np.ndarray], units: list[np.ndarray]) -> 
     return mult_defect
 
 
-def _mult_defect_bound(stacks: list[np.ndarray], units: list[np.ndarray]) -> float:
-    """An upper bound on _pairwise_mult_defect from O(n^2) products; NaN stays NaN.
-
-    With R_ij = P_ij - P_i0 P_0j and S = P_0j P_k0 - delta P_00 (delta = 1 only
-    for j = k in one block), P_ij P_kl - delta_jk P_il = P_ij R_kl + R_ij P_k0 P_0l
-    + P_i0 S P_0l - delta_jk (R_il + R_i0 P_0l).  K, the largest Frobenius norm
-    of a unit image in one target block, bounds operator norms, so with r1, r2
-    the worst norms of R and S the defect is at most r1 (1 + K)^2 + K^2 r2.
-    Rounding: a product of two unit images is off by at most (m + 2) eps K^2
-    per block of side <= m (Higham, Secs. 3.5-3.6), so by e = sqrt(s) (m + 2)
-    eps K^2 over s blocks, in r1, r2 and each pairwise defect; the allowance
-    2 e (1 + K)^2 >= e (1 + (1 + K)^2 + K^2) covers all three.  Relative
-    rounding (sums, norms, K) is left to the factor two under DEFAULT_ATOL.
-    """
-    heads = np.concatenate([idx[:, 0] for idx in units])  # E_0j over every (y, j)
-    tails = np.concatenate([idx[0] for idx in units])  # E_k0
-    zeros = np.concatenate([np.full(len(idx), idx[0, 0]) for idx in units])  # E_00
-    diag, sq1, sq2 = np.arange(len(heads)), [0.0] * len(units), 0.0
-    for st in stacks:
-        for y, idx in enumerate(units):
-            d = st[idx[0]][:, None] @ st[idx[:, 0]] - st[idx.T]  # [i, j]: R_ij
-            sq1[y] = sq1[y] + (np.abs(d) ** 2).sum(axis=(2, 3))
-        g = st[heads][:, None] @ st[tails]  # [(y, j), (y', k)]: P_0j P_k0
-        g[diag, diag] -= st[zeros]
-        sq2 = sq2 + (np.abs(g) ** 2).sum(axis=(2, 3))
-    k = np.sqrt(np.max([(np.abs(st) ** 2).sum(axis=(1, 2)).max() for st in stacks]))
-    r1 = np.sqrt(np.max([sq.max() for sq in sq1]))
-    r2 = np.sqrt(sq2.max())
-    m = max(st.shape[1] for st in stacks)
-    e = np.sqrt(len(stacks)) * (m + 2) * np.finfo(float).eps * k**2
-    return float(r1 * (1 + k) ** 2 + k**2 * r2 + 2 * e * (1 + k) ** 2)
-
-
-def _reconstruction_bound(
-    f: StarHom, stacks: list[np.ndarray], units: list[np.ndarray], a: float, d: float
+def _certificate(
+    f: StarHom, stacks: list[np.ndarray], units: list[np.ndarray]
 ) -> float:
-    """A bound on every ||F(E_ij) - P_ij|| from the images F(E_i0); NaN stays NaN.
+    """A bound on the multiplicativity defect of the unit images P_ij and on
+    every ||F(E_ij) - P_ij||, from the generators E_i0; NaN stays NaN.
 
-    F is the action of f; a and d bound the adjoint and multiplicativity defects
-    of the unit images P_ij.  F(E_i0) F(E_j0)^H is F(E_ij) up to sqrt(s) (1 + u) u
-    over s target blocks, u the worst ||U^H U - 1||, and P_i0 P_j0^H is P_ij up
-    to K a + d, K the largest norm of a P_i0 in one block.  With e the worst
-    ||F(E_i0) - P_i0||, each unit is off by sqrt(s) (1+u) u + e (1+u+K) + K a + d.
+    F is the action of f on s target blocks of side <= m.  With e the worst
+    ||F(E_i0) - P_i0||, K the largest norm of a P_i0 in one block, rho the worst
+    ||P_ij - P_i0 P_j0^H|| and u the worst ||U^H U - 1||, every unit is off by
+    r = rho + (2K + e) e + sqrt(s) (1 + u) u, the last term the distance of
+    F(E_i0) F(E_j0)^H from F(E_ij).  With P = F + D, each pair defect
+    ||P_ij P_kl - delta_jk P_il|| is then at most sqrt(s) (1 + u) u
+    + (3 + 2u) r + r^2.  Rounding: a product of two unit images is off by at
+    most (m + 2) eps K^2 per block (Higham, Secs. 3.5-3.6), so by
+    e_r = sqrt(s) (m + 2) eps K^2 over all blocks; the allowance 2 e_r (1 + K)^2
+    covers rho and each pair defect.  Relative rounding (sums, norms, K) is
+    left to the factor two under DEFAULT_ATOL.
     """
     dims, images = f.source.block_dims, []  # F(E_i0) over every (y, i)
     for y, n in enumerate(dims):
@@ -300,29 +274,30 @@ def _reconstruction_bound(
     diffs = [np.array(g) - st[gens] for st, g in zip(stacks, zip(*images))]
     e = np.sqrt(np.max(sum((np.abs(df) ** 2).sum(axis=(1, 2)) for df in diffs)))
     k = np.sqrt(np.max([(np.abs(st[gens]) ** 2).sum(axis=(1, 2)) for st in stacks]))
+    sq = [0.0] * len(units)
+    for st in stacks:
+        for y, idx in enumerate(units):
+            p = st[idx[0]]
+            d = p[:, None] @ p.conj().transpose(0, 2, 1) - st[idx.T]  # [i, j]: vs P_ij
+            sq[y] = sq[y] + (np.abs(d) ** 2).sum(axis=(2, 3))
+    rho = np.sqrt(np.max([q.max() for q in sq]))
     u = np.max([np.linalg.norm(c.conj().T @ c - np.eye(len(c))) for c in f.conjugators])
-    return float(np.sqrt(len(stacks)) * (1 + u) * u + e * (1 + u + k) + k * a + d)
+    s, m = len(stacks), max(st.shape[1] for st in stacks)
+    unitarity = np.sqrt(s) * (1 + u) * u
+    r = rho + (2 * k + e) * e + unitarity
+    e_r = np.sqrt(s) * (m + 2) * np.finfo(float).eps * k**2
+    return float(unitarity + (3 + 2 * u) * r + r**2 + 2 * e_r * (1 + k) ** 2)
 
 
 def hom_from_raw(raw: RawLinearMap) -> StarHom:
     """Recover multiplicities and conjugators from a raw unital *-homomorphism.
 
-    Verifies the homomorphism axioms on the matrix-unit basis first, then reads
-    mult[y][x] off the trace of the image of the unit of source block y in
-    target block x, and assembles each conjugator from an orthonormal basis of
-    the range of the image of the first matrix unit of each source block.  The
-    unit images P_ij are the columns of the raw matrix, stacked per target
-    block; unitality is the Frobenius distance of the sum of the unit images
-    over y from the identity, over all x.  Multiplicativity, the worst
-    ||P_ij P_kl - delta_jk P_il|| over all pairs, is first bounded from the
-    products P_i0 P_0j and P_0j P_k0 (_mult_defect_bound); only where that
-    bound, rounding included, exceeds DEFAULT_ATOL / 2 do all pairs run
-    (_pairwise_mult_defect), which then gives the verdict and the residual.
-    The axioms and the integrality of the multiplicities, which with unitality
-    make them fill every target block, are checked at DEFAULT_ATOL, the
-    reconstruction from the assembled conjugators at 1e-7; a NaN fails each.
-    It is bounded from the generators E_i0 (_reconstruction_bound); only where twice
-    that (room for rounding) exceeds 1e-7 is every unit rebuilt (hom_to_raw).
+    The unit images P_ij (the raw columns) are checked for unitality and
+    adjoints; mult is read off the traces of the P_ii and each conjugator off
+    the range of P_00, and the hom is returned where twice _certificate is at
+    most DEFAULT_ATOL.  Otherwise all pairs are checked for multiplicativity, an
+    assembly miss is raised, and every unit is rebuilt (hom_to_raw) and compared
+    at 1e-7.  A NaN fails each check.
     """
     src, tgt = raw.source, raw.target
     n_dims = src.block_dims
@@ -352,52 +327,55 @@ def hom_from_raw(raw: RawLinearMap) -> StarHom:
     if not adj_defect <= DEFAULT_ATOL:
         raise NotAHomomorphismError("adjoint", adj_defect)
 
-    mult_defect = _mult_defect_bound(stacks, units)
-    if not mult_defect <= DEFAULT_ATOL / 2:
-        mult_defect = _pairwise_mult_defect(stacks, units)
-        if not mult_defect <= DEFAULT_ATOL:
-            raise NotAHomomorphismError("multiplicative", mult_defect)
-
-    mult = [[0] * tgt.num_blocks for _ in n_dims]
-    for y, n in enumerate(n_dims):
-        for x, one in enumerate(ones[y]):
-            tr = np.trace(one).real / n
-            c = round(tr)
-            miss = abs(tr - c)
-            if not miss <= DEFAULT_ATOL:
-                raise NotAHomomorphismError(
-                    "integrality",
-                    miss,
-                    f"multiplicity of source block {y} in target block {x} "
-                    f"misses the integer {c} by {miss:.3e}",
-                )
-            mult[y][x] = int(c)
-
-    conjugators = []
-    for x, st in enumerate(stacks):
-        cols = []
+    held = None
+    try:  # a miss is held until multiplicativity has been checked
+        mult = [[0] * tgt.num_blocks for _ in n_dims]
         for y, n in enumerate(n_dims):
-            c = mult[y][x]
-            if c == 0:
-                continue
-            proj = st[units[y][0, 0]]
-            vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
-            range_vecs = vecs[:, vals > 0.5]
-            if range_vecs.shape[1] != c:
-                raise NotAHomomorphismError(
-                    "projection-rank",
-                    float(abs(range_vecs.shape[1] - c)),
-                    f"rank of the unit-image projection in target block {x} is "
-                    f"{range_vecs.shape[1]}, expected {c}",
-                )
-            # copy k of block y: the images of E_0j applied to range vector k
-            cols += [st[units[y][0, j]] @ v for v in range_vecs.T for j in range(n)]
-        conjugators.append(np.column_stack(cols))
+            for x, one in enumerate(ones[y]):
+                tr = np.trace(one).real / n
+                c = round(tr)
+                miss = abs(tr - c)
+                if not miss <= DEFAULT_ATOL:
+                    raise NotAHomomorphismError(
+                        "integrality",
+                        miss,
+                        f"multiplicity of source block {y} in target block {x} "
+                        f"misses the integer {c} by {miss:.3e}",
+                    )
+                mult[y][x] = int(c)
 
-    result = StarHom(src, tgt, mult, tuple(conjugators))
-    bound = _reconstruction_bound(result, stacks, units, adj_defect, mult_defect)
-    if 2 * bound <= 1e-7:
-        return result
+        conjugators = []
+        for x, st in enumerate(stacks):
+            cols = []
+            for y, n in enumerate(n_dims):
+                c = mult[y][x]
+                if c == 0:
+                    continue
+                proj = st[units[y][0, 0]]
+                vals, vecs = np.linalg.eigh((proj + proj.conj().T) / 2)
+                range_vecs = vecs[:, vals > 0.5]
+                if range_vecs.shape[1] != c:
+                    raise NotAHomomorphismError(
+                        "projection-rank",
+                        float(abs(range_vecs.shape[1] - c)),
+                        f"rank of the unit-image projection in target block {x} is "
+                        f"{range_vecs.shape[1]}, expected {c}",
+                    )
+                # copy k of block y: the images of E_0j applied to range vector k
+                cols += [st[units[y][0, j]] @ v for v in range_vecs.T for j in range(n)]
+            conjugators.append(np.column_stack(cols))
+        result = StarHom(src, tgt, mult, tuple(conjugators))
+    except (NotAHomomorphismError, ShapeError) as err:
+        held = err
+    else:
+        if 2 * _certificate(result, stacks, units) <= DEFAULT_ATOL:
+            return result
+
+    mult_defect = _pairwise_mult_defect(stacks, units)
+    if not mult_defect <= DEFAULT_ATOL:
+        raise NotAHomomorphismError("multiplicative", mult_defect)
+    if held is not None:
+        raise held
     # column norms of the difference are Frobenius distances of unit images
     recon = float(
         np.max(np.linalg.norm(hom_to_raw(result).matrix - raw.matrix, axis=0))

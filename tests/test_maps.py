@@ -476,45 +476,6 @@ def _random_hom(rng) -> StarHom:
     return StarHom(AlgebraSpec(dims), AlgebraSpec(sides), mult.tolist(), conj)
 
 
-def _rank_one_raw(rng, n: int, m: int) -> RawLinearMap:
-    """E_ij -> a_i b_j^H with b_0^H a_0 = 1, so P_ij = P_i0 P_0j exactly, while
-    P_0j P_k0 = (b_j^H a_k) P_00 is off by a random factor."""
-    a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-    b /= np.vdot(b[0], a[0]).conj()
-    cols = [np.outer(a[i], b[j].conj()).ravel("F") for j in range(n) for i in range(n)]
-    return RawLinearMap(AlgebraSpec((n,)), AlgebraSpec((m,)), np.column_stack(cols))
-
-
-RAW_KINDS = ("valid", "perturbed", "random", "rank-one", "edited")
-
-
-@pytest.mark.parametrize("kind", RAW_KINDS)
-def test_mult_defect_bound_is_at_least_the_pairwise_reference(kind):
-    rng = np.random.default_rng([190, RAW_KINDS.index(kind)])
-    for _ in range(25):
-        raw = hom_to_raw(_random_hom(rng))
-        if kind == "perturbed":
-            raw = _perturbed(raw, 10 ** rng.uniform(-12, -3))
-        elif kind == "random":
-            shape = raw.matrix.shape
-            noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            raw = RawLinearMap(raw.source, raw.target, noise)
-        elif kind == "rank-one":  # only the P_0j P_k0 products see the defect
-            raw = _rank_one_raw(rng, int(rng.integers(2, 4)), int(rng.integers(2, 5)))
-        elif kind == "edited" and raw.source.block_dims[0] > 1:
-            # E_11 of block 0 is column n + 1; no P_0j P_k0 product sees it
-            matrix = np.array(raw.matrix)
-            n = raw.source.block_dims[0]
-            size = 10 ** rng.uniform(-9, -3)
-            matrix[:, n + 1] += size * rng.standard_normal(len(matrix))
-            raw = RawLinearMap(raw.source, raw.target, matrix)
-        bound = maps._mult_defect_bound(*_stacks_and_units(raw))
-        assert bound >= _reference_mult_defect(raw)
-        if kind == "valid":
-            assert bound <= DEFAULT_ATOL / 2  # certified: the pairwise loop is skipped
-
-
 @pytest.mark.parametrize("target", [3e-10, 3e-9])
 def test_hom_from_raw_verdict_near_the_tolerance_matches_the_reference(target):
     rng = np.random.default_rng(193)
@@ -549,16 +510,6 @@ def test_pairwise_mult_check_runs_only_where_the_bound_fails(monkeypatch):
         hom_from_raw(RawLinearMap(alg, alg, transpose))
 
 
-def _reference_adj_defect(raw: RawLinearMap) -> float:
-    # worst ||F(E_ji) - F(E_ij)^H|| over all matrix units, all target blocks
-    stacks, units = _stacks_and_units(raw)
-    return max(
-        np.sqrt(sum(np.linalg.norm(st[u] - st[v].conj().T) ** 2 for st in stacks))
-        for idx in units
-        for u, v in zip(idx.ravel(), idx.T.ravel())
-    )
-
-
 def _units_residual(f: StarHom, raw: RawLinearMap) -> float:
     # the all-units reconstruction residual hom_from_raw falls back to
     return float(np.max(np.linalg.norm(hom_to_raw(f).matrix - raw.matrix, axis=0)))
@@ -575,31 +526,51 @@ def _with_unitarity_defect(rng, f: StarHom) -> StarHom:
     return StarHom(f.source, f.target, f.mult, tuple(conj))
 
 
-CERTIFICATE_KINDS = ("valid", "perturbed", "noisy", "non-unitary")
+CERTIFICATE_KINDS = ("valid", "perturbed", "edited", "noisy", "non-unitary")
 
 
 @pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
-def test_reconstruction_bound_is_at_least_the_all_units_residual(kind):
-    rng = np.random.default_rng([240, CERTIFICATE_KINDS.index(kind)])
-    wide = 0  # draws with two or more source blocks and a multiplicity >= 2
-    for _ in range(25):
+def test_certificate_bounds_the_pairwise_and_all_units_references(monkeypatch, kind):
+    rng = np.random.default_rng([250, CERTIFICATE_KINDS.index(kind)])
+    certificate, reached = maps._certificate, []
+
+    def recording_certificate(f, stacks, units):
+        reached.append((f, certificate(f, stacks, units)))
+        return reached[-1][1]
+
+    monkeypatch.setattr(maps, "_certificate", recording_certificate)
+    wide, count = 0, 0  # wide: two or more source blocks and a multiplicity >= 2
+    for _ in range(40):
         f = _random_hom(rng)
         wide += f.source.num_blocks >= 2 and np.max(f.mult) >= 2
         raw = hom_to_raw(f)
-        if kind == "perturbed":  # multiplicative defect up to about 1e-10
-            raw = _perturbed(raw, 10 ** rng.uniform(-13, -11))
-        elif kind == "noisy":  # every axiom off by up to about 1e-11
-            noise = rng.standard_normal(raw.matrix.shape) * 10 ** rng.uniform(-14, -12)
+        if kind == "perturbed":  # multiplicative defect up to about 1e-8
+            raw = _perturbed(raw, 10 ** rng.uniform(-13, -9))
+        elif kind == "edited" and raw.source.block_dims[0] > 1:
+            # E_11 of block 0 is column n + 1; no generator E_i0 sees it
+            matrix = np.array(raw.matrix)
+            n = raw.source.block_dims[0]
+            size = 10 ** rng.uniform(-13, -9)
+            matrix[:, n + 1] += size * rng.standard_normal(len(matrix))
+            raw = RawLinearMap(raw.source, raw.target, matrix)
+        elif kind == "noisy":  # every axiom off by up to about 1e-9
+            noise = rng.standard_normal(raw.matrix.shape) * 10 ** rng.uniform(-13, -10)
             raw = RawLinearMap(raw.source, raw.target, raw.matrix + noise)
-        result = hom_from_raw(raw)
-        if kind == "non-unitary":
-            result = _with_unitarity_defect(rng, result)
-        a, d = _reference_adj_defect(raw), _reference_mult_defect(raw)
-        assert a <= DEFAULT_ATOL and d <= DEFAULT_ATOL
-        bound = maps._reconstruction_bound(result, *_stacks_and_units(raw), a, d)
-        assert bound >= _units_residual(result, raw)
-        assert 2 * bound <= 1e-7  # certified: hom_from_raw skips the all-units check
-    assert wide >= 3
+        reached.clear()
+        try:
+            result = hom_from_raw(raw)
+        except NotAHomomorphismError:
+            pass
+        if kind == "non-unitary":  # the certified hom with its conjugators pushed off
+            g = _with_unitarity_defect(rng, result)
+            reached[:] = [(g, certificate(g, *_stacks_and_units(raw)))]
+        for g, bound in reached:
+            assert bound >= _reference_mult_defect(raw)
+            assert bound >= _units_residual(g, raw)
+        if kind == "valid":  # certified: no pairwise loop, no hom_to_raw
+            assert len(reached) == 1 and 2 * reached[0][1] <= DEFAULT_ATOL
+        count += len(reached)
+    assert count >= 25 and wide >= 3
 
 
 def test_hom_from_raw_rebuilds_only_the_generators(monkeypatch):
@@ -634,7 +605,7 @@ def test_full_reconstruction_check_runs_where_the_bound_is_not_finite(monkeypatc
         rebuilt.append(g)
         return hom_to_raw(g)
 
-    monkeypatch.setattr(maps, "_reconstruction_bound", lambda *args: value)
+    monkeypatch.setattr(maps, "_certificate", lambda *args: value)
     monkeypatch.setattr(maps, "hom_to_raw", counting_hom_to_raw)
     for raw, want in zip(raws, certified):
         got = hom_from_raw(raw)
@@ -653,6 +624,18 @@ def test_nan_in_a_unit_image_fails_an_axiom(unit, axiom):
     with pytest.raises(NotAHomomorphismError) as exc:
         hom_from_raw(RawLinearMap(src, tgt, matrix))
     assert exc.value.axiom == axiom
+
+
+def test_projection_rank_miss_is_held_until_multiplicativity_fails():
+    # P0 = P1 = 1/2 is unital, adjoint-preserving and of integral multiplicity
+    # one, but P0 has no eigenvalue above 1/2, so the rank guard misses too
+    src, tgt = AlgebraSpec((1, 1)), AlgebraSpec((2,))
+    raw = RawLinearMap(src, tgt, np.column_stack([0.5 * np.eye(2).ravel()] * 2))
+    with pytest.raises(NotAHomomorphismError) as exc:
+        hom_from_raw(raw)
+    assert exc.value.axiom == "multiplicative"
+    assert exc.value.residual == _reference_mult_defect(raw)
+    assert abs(exc.value.residual - np.sqrt(2) / 4) < 1e-15
 
 
 def test_non_integral_multiplicity_fails_the_integrality_axiom():
