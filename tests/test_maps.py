@@ -529,8 +529,9 @@ def _with_unitarity_defect(rng, f: StarHom) -> StarHom:
 CERTIFICATE_KINDS = ("valid", "perturbed", "edited", "noisy", "non-unitary")
 
 
-@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
-def test_certificate_bounds_the_pairwise_and_all_units_references(monkeypatch, kind):
+def _certified_draws(monkeypatch, kind: str) -> list:
+    """40 seeded raws of one kind, each with the (hom, bound) pair of every
+    _certificate call hom_from_raw makes on it."""
     rng = np.random.default_rng([250, CERTIFICATE_KINDS.index(kind)])
     certificate, reached = maps._certificate, []
 
@@ -539,7 +540,7 @@ def test_certificate_bounds_the_pairwise_and_all_units_references(monkeypatch, k
         return reached[-1][1]
 
     monkeypatch.setattr(maps, "_certificate", recording_certificate)
-    wide, count = 0, 0  # wide: two or more source blocks and a multiplicity >= 2
+    draws, wide = [], 0  # wide: two or more source blocks and a multiplicity >= 2
     for _ in range(40):
         f = _random_hom(rng)
         wide += f.source.num_blocks >= 2 and np.max(f.mult) >= 2
@@ -564,13 +565,25 @@ def test_certificate_bounds_the_pairwise_and_all_units_references(monkeypatch, k
         if kind == "non-unitary":  # the certified hom with its conjugators pushed off
             g = _with_unitarity_defect(rng, result)
             reached[:] = [(g, certificate(g, *_stacks_and_units(raw)))]
-        for g, bound in reached:
-            assert bound >= _reference_mult_defect(raw)
-            assert bound >= _units_residual(g, raw)
         if kind == "valid":  # certified: no pairwise loop, no hom_to_raw
             assert len(reached) == 1 and 2 * reached[0][1] <= DEFAULT_ATOL
-        count += len(reached)
-    assert count >= 25 and wide >= 3
+        draws.append((raw, list(reached)))
+    assert sum(len(r) for _, r in draws) >= 25 and wide >= 3
+    return draws
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_mult_defect_bound_is_at_least_the_pairwise_reference(monkeypatch, kind):
+    for raw, reached in _certified_draws(monkeypatch, kind):
+        for _, bound in reached:
+            assert bound >= _reference_mult_defect(raw)
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_reconstruction_bound_is_at_least_the_all_units_residual(monkeypatch, kind):
+    for raw, reached in _certified_draws(monkeypatch, kind):
+        for g, bound in reached:
+            assert bound >= _units_residual(g, raw)
 
 
 def test_hom_from_raw_rebuilds_only_the_generators(monkeypatch):
