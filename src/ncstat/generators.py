@@ -8,6 +8,7 @@ reproducible in isolation and independent of execution order.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,8 @@ _MASK64 = (1 << 64) - 1
 # mu = min(2 FAITHFUL_FLOOR side, 1/2), so every eigenvalue is at least
 # mu / side: 2 FAITHFUL_FLOOR up to side 250, 1 / (2 side) beyond.
 FAITHFUL_FLOOR = 1e-3
+
+_shared: dict | None = None  # one trial's composite draws while laws.run_laws runs
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,22 @@ def gen_alpha_family(
     return AlphaFamily(rows)
 
 
+def _shared_draw(gen):
+    """Share gen's draw at one stream position among the laws of one trial."""
+    @functools.wraps(gen)
+    def draw(cfg, rng, *args, **kwargs):
+        if (store := _shared) is None:  # read once: run_laws may swap it meanwhile
+            return gen(cfg, rng, *args, **kwargs)
+        key = (gen, cfg, args, tuple(kwargs.items()), repr(rng.bit_generator.state))
+        if key not in store:  # a repeat gets the frozen instance, caches and all,
+            store[key] = gen(cfg, rng, *args, **kwargs), rng.bit_generator.state
+        instance, rng.bit_generator.state = store[key]  # and the state it left
+        return instance
+
+    return draw
+
+
+@_shared_draw
 def gen_morphism(
     cfg: GeneratorConfig, rng: np.random.Generator, faithful: bool | None = None
 ) -> NCMorphism:
@@ -221,6 +240,7 @@ def gen_morphism(
     return build_hypothesis_from_alphas(hom, xi, alphas, target_state=omega)
 
 
+@_shared_draw
 def gen_optimal_morphism(cfg: GeneratorConfig, rng: np.random.Generator) -> NCMorphism:
     """Random optimal hypothesis: the target state is the one the CPU map recovers."""
     source = gen_algebra(rng, cfg)
@@ -230,6 +250,7 @@ def gen_optimal_morphism(cfg: GeneratorConfig, rng: np.random.Generator) -> NCMo
     return build_hypothesis_from_alphas(hom, xi, alphas)
 
 
+@_shared_draw
 def gen_composable_pair(
     cfg: GeneratorConfig, rng: np.random.Generator
 ) -> tuple[NCMorphism, NCMorphism]:

@@ -15,6 +15,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import entropy as ent
+from . import generators
 from .algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
@@ -494,17 +495,25 @@ LAWS: tuple[tuple[str, float, object], ...] = (
 def run_laws(cfg: GeneratorConfig) -> LawReport:
     """Run every law over cfg.trials derived streams and aggregate the defects.
 
+    Trials run in turn; within one, laws share composite draws (_shared_draw).
     The infinity-coverage law additionally fails when faithful_only is off but
     no infinite instance showed up across all its trials.
     """
+    table, outcomes = LAWS, []  # outcomes[trial][k] is law k's trial outcome
+    try:
+        for trial in range(cfg.trials):
+            generators._shared = {}
+            outcomes.append([fn(rng_for(cfg, trial), cfg) for _, _, fn in table])
+    finally:
+        generators._shared = None
     results = []
-    for name, tol, fn in LAWS:
+    for k, (name, tol, _) in enumerate(table):
         failures = []
         max_defect = 0.0
         infinite = 0
         ran = 0
         for trial in range(cfg.trials):
-            out = fn(rng_for(cfg, trial), cfg)
+            out = outcomes[trial][k]
             if out.skipped:
                 continue
             ran += 1

@@ -1,10 +1,13 @@
+import itertools
 import json
 import math
+import weakref
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from ncstat import laws
+from ncstat import generators, laws
 from ncstat.algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
@@ -277,3 +280,90 @@ def test_run_laws_faithful_only_skips_coverage():
     cov = [r for r in report.results if r.name == "relative-entropy-infinity-coverage"]
     assert cov[0].trials == 0
     assert report.ok, report.summary()
+
+
+def _law_major_report(cfg: GeneratorConfig) -> dict:
+    """run_laws as a law-major loop with one fresh stream per law call: no sharing."""
+    doc = []
+    for name, tol, fn in LAWS:
+        outs = [(t, fn(rng_for(cfg, t), cfg)) for t in range(cfg.trials)]
+        ran = [(t, out) for t, out in outs if not out.skipped]
+        failures = [t for t, out in ran if not out.defect <= tol]
+        infinite = sum(int(out.infinite) for _, out in ran)
+        if name == "relative-entropy-infinity-coverage" and not cfg.faithful_only:
+            failures += [-1] if ran and infinite == 0 else []
+        max_defect = 0.0
+        for _, out in ran:
+            max_defect = float(np.maximum(max_defect, out.defect))
+        result = laws.LawResult(
+            name, tol, len(ran), len(failures), max_defect, tuple(failures[:10]), infinite
+        )
+        doc.append(result.to_json())
+    ok = all(entry["passed"] for entry in doc)
+    return {**asdict(cfg), "ok": ok, "laws": doc}
+
+
+@pytest.mark.parametrize(
+    "cfg",
+    [
+        GeneratorConfig(seed=3, trials=5),
+        GeneratorConfig(seed=42, trials=10),
+        GeneratorConfig(seed=42, trials=10, faithful_only=True),
+        GeneratorConfig(seed=42, trials=3, max_block_dim=6),
+    ],
+    ids=["seed3", "seed42", "seed42-faithful", "seed42-maxdim6"],
+)
+def test_shared_draws_leave_the_report_unchanged(cfg):
+    assert run_laws(cfg).to_json() == _law_major_report(cfg)
+
+
+def test_direct_composite_draws_are_fresh():
+    for gen in (gen_morphism, gen_optimal_morphism):
+        assert gen(CFG, rng_for(CFG, 0)) is not gen(CFG, rng_for(CFG, 0))
+    a, b = (gen_composable_pair(CFG, rng_for(CFG, 0)) for _ in range(2))
+    assert a[0] is not b[0] and a[1] is not b[1]
+
+
+def test_run_laws_still_catches_a_nondeterministic_gen_state(monkeypatch):
+    fresh = itertools.count()
+
+    def drifting(algebra, cfg, rng, faithful=None):
+        return gen_state(algebra, cfg, np.random.default_rng(next(fresh)), faithful)
+
+    monkeypatch.setattr(laws, "gen_state", drifting)
+    report = run_laws(GeneratorConfig(seed=3, trials=3))
+    (result,) = [r for r in report.results if r.name == "generator-determinism"]
+    assert result.failing_trials == (0, 1, 2)
+
+
+def test_sharing_is_off_after_a_law_raises(monkeypatch):
+    def raising(rng, cfg):
+        gen_composable_pair(cfg, rng)
+        raise RuntimeError("law broke")
+
+    monkeypatch.setattr(laws, "LAWS", (LAWS[0], ("raising", 0.5, raising)))
+    with pytest.raises(RuntimeError, match="law broke"):
+        run_laws(GeneratorConfig(seed=3, trials=2))
+    assert generators._shared is None
+    a, b = (gen_composable_pair(CFG, rng_for(CFG, 1)) for _ in range(2))
+    assert a[0] is not b[0] and a[1] is not b[1]
+
+
+def test_run_laws_releases_each_trials_instances_by_the_next(monkeypatch):
+    refs, released, shared = [], [], []
+
+    def probe(rng, cfg):  # runs first: the last trial's pair must be gone
+        released.append([ref() is None for ref in refs])
+        refs.append(weakref.ref(gen_composable_pair(cfg, rng)[0]))
+        return laws.TrialOutcome()
+
+    def reuse(rng, cfg):  # runs last: finds the pair the probe drew
+        shared.append(gen_composable_pair(cfg, rng)[0] is refs[-1]())
+        return laws.TrialOutcome()
+
+    table = (("probe", 0.5, probe), *LAWS, ("reuse", 0.5, reuse))
+    monkeypatch.setattr(laws, "LAWS", table)
+    assert run_laws(GeneratorConfig(seed=3, trials=4)).ok
+    assert released == [[], [True], [True, True], [True, True, True]]
+    assert shared == [True] * 4
+    assert refs[-1]() is None  # the last trial's pair goes when run_laws returns

@@ -526,7 +526,32 @@ def _with_unitarity_defect(rng, f: StarHom) -> StarHom:
     return StarHom(f.source, f.target, f.mult, tuple(conj))
 
 
-CERTIFICATE_KINDS = ("valid", "perturbed", "edited", "noisy", "non-unitary")
+def _with_scaled_generators(rng, f: StarHom) -> RawLinearMap:
+    # P_ij = (1 + eta_i)(1 + eta_j) F(E_ij), eta_0 = 0: P_ij = P_i0 P_j0^H (rho = 0)
+    # and u = 0, while e and every residual are about the largest eta
+    eta = [np.r_[0.0, 10 ** rng.uniform(-12, -9, n - 1)] for n in f.source.block_dims]
+    scale = np.concatenate([np.outer(1 + h, 1 + h).reshape(-1) for h in eta])
+    return RawLinearMap(f.source, f.target, hom_to_raw(f).matrix * scale)
+
+
+def _with_unitarity_defect_off_index_0(rng, f: StarHom) -> StarHom:
+    # U (1 + t Q), Q the standard image of E_11 of the first source block of side
+    # >= 2: U^H U - 1 misses every copy of index 0, so this hom's own raw map has
+    # rho = e = 0, and its pair defects come from the unitarity defect alone
+    e11 = next((e for _, i, j, e in f.source.matrix_units() if i == j == 1), None)
+    if e11 is None:
+        return f
+    q = apply_hom(maps.strip_conjugators(f), e11).blocks
+    t = rng.uniform(0.05, 0.45) * maps.UNITARY_ATOL / (2 * np.sqrt(f.target.side))
+    conj = tuple(u @ (np.eye(len(u)) + t * p) for u, p in zip(f.conjugators, q))
+    return StarHom(f.source, f.target, f.mult, conj)
+
+
+# e-only and u-only: raws on which the e term or the unitarity term of
+# _certificate alone carries the defect the two tests compare with
+CERTIFICATE_KINDS = (
+    "valid", "perturbed", "edited", "noisy", "non-unitary", "e-only", "u-only"
+)
 
 
 def _certified_draws(monkeypatch, kind: str) -> list:
@@ -544,6 +569,11 @@ def _certified_draws(monkeypatch, kind: str) -> list:
     for _ in range(40):
         f = _random_hom(rng)
         wide += f.source.num_blocks >= 2 and np.max(f.mult) >= 2
+        if kind in ("e-only", "u-only"):
+            g = f if kind == "e-only" else _with_unitarity_defect_off_index_0(rng, f)
+            raw = _with_scaled_generators(rng, f) if kind == "e-only" else hom_to_raw(g)
+            draws.append((raw, [(g, certificate(g, *_stacks_and_units(raw)))]))
+            continue
         raw = hom_to_raw(f)
         if kind == "perturbed":  # multiplicative defect up to about 1e-8
             raw = _perturbed(raw, 10 ** rng.uniform(-13, -9))
