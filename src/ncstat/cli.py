@@ -272,8 +272,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    command = "ncstat"
     try:
         args = build_parser().parse_args(argv)
+        command = args.command
         for flag in ("atol", "cutoff"):
             if flag in vars(args):
                 check_tolerance(f"--{flag}", getattr(args, flag))
@@ -283,6 +285,10 @@ def main(argv: list[str] | None = None) -> int:
         # is a ValueError, and load_any and _load turn a malformed or
         # wrong-kind document into a ShapeError
         print(f"ncstat: error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's message names the allocation it could not make
+        detail = f": {exc}" if str(exc) else ""
+        print(f"ncstat: error: {command}: out of memory{detail}", file=sys.stderr)
         return 2
 
 

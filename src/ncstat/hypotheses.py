@@ -394,7 +394,8 @@ def build_hypothesis_from_alphas(
     In the standard frame, the CPU component into source block y from target
     block x compresses to the (y, y) diagonal segment S, weights by alpha_yx on
     the copy factor, and takes the partial trace over the copies; its Choi
-    matrix C_S is built on S alone, and the conjugator is folded in as
+    matrix on S alone is C_S = alpha_yx^T kron (the identity map's Choi matrix
+    on side n_y), and the conjugator is folded in as
     (conj(U_S) kron 1) C_S (conj(U_S) kron 1)^H, U_S = U_x[:, S], so the section
     axiom holds for hom itself (an identity U_x just places C_S at the rows and
     columns of S).  When no target state is given, the one that makes the
@@ -415,13 +416,7 @@ def build_hypothesis_from_alphas(
         if c == 0:
             return np.zeros((m * n, m * n), dtype=np.complex128)
         alpha, seg = alphas.blocks[y][x], hom.segments[x][y]
-        choi = choi_from_function(
-            lambda e: np.einsum(
-                "kl,...ljkJ->...jJ", alpha, e.reshape(e.shape[:-2] + (c, n, c, n))
-            ),
-            c * n,
-            n,
-        )
+        choi = np.kron(alpha.T, choi_from_function(lambda e: e, n, n))
         return _fold_conjugation(choi, hom.conjugators[x][:, seg].conj(), True)
 
     grid = [

@@ -204,11 +204,6 @@ def conjugate_state(s: State, u: AlgebraElement) -> State:
 # Raw (vectorized) linear maps and extraction of the standard form
 
 
-def vec_element(a: AlgebraElement) -> np.ndarray:
-    """Column-major vectorization, blocks concatenated in order."""
-    return np.concatenate([b.flatten(order="F") for b in a.blocks])
-
-
 @dataclass(frozen=True, eq=False)
 class RawLinearMap:
     """A linear map between algebras as a dense matrix on vectorized elements."""
@@ -224,10 +219,15 @@ class RawLinearMap:
 
 
 def hom_to_raw(f: StarHom) -> RawLinearMap:
-    cols = [
-        vec_element(apply_hom(f, e)) for _, _, _, e in f.source.matrix_units()
+    """hom_to_cpu's Choi entry F(E_ij)[a, b] moved to row a + m*b, column i + n*j."""
+    rows = [
+        [
+            c.reshape(n, m, n, m).transpose(3, 1, 2, 0).reshape(m * m, n * n)
+            for c, n in zip(comps, f.source.block_dims)
+        ]
+        for comps, m in zip(hom_to_cpu(f).components, f.target.block_dims)
     ]
-    return RawLinearMap(f.source, f.target, np.column_stack(cols))
+    return RawLinearMap(f.source, f.target, np.block(rows))
 
 
 def _pairwise_mult_defect(stacks: list[np.ndarray], units: list[np.ndarray]) -> float:
@@ -250,41 +250,37 @@ def _certificate(
     f: StarHom, stacks: list[np.ndarray], units: list[np.ndarray]
 ) -> float:
     """A bound on the multiplicativity defect of the unit images P_ij and on
-    every ||F(E_ij) - P_ij||, from the generators E_i0; NaN stays NaN.
+    every ||F(E_ij) - P_ij||, from the generators G_i = F(E_i0); NaN stays NaN.
 
-    F is the action of f on s target blocks of side <= m.  With e the worst
-    ||F(E_i0) - P_i0||, K the largest norm of a P_i0 in one block, rho the worst
-    ||P_ij - P_i0 P_j0^H|| and u the worst ||U^H U - 1||, every unit is off by
-    r = rho + (2K + e) e + sqrt(s) (1 + u) u, the last term the distance of
-    F(E_i0) F(E_j0)^H from F(E_ij).  With P = F + D, each pair defect
-    ||P_ij P_kl - delta_jk P_il|| is then at most sqrt(s) (1 + u) u
-    + (3 + 2u) r + r^2.  Rounding: a product of two unit images is off by at
-    most (m + 2) eps K^2 per block (Higham, Secs. 3.5-3.6), so by
+    F is the action of f on s target blocks of side <= m.  With r~ the worst
+    ||P_ij - G_i G_j^H|| and u the worst ||U^H U - 1||, every unit is off by
+    r = r~ + sqrt(s) (1 + u) u, the last term the distance of G_i G_j^H from
+    F(E_ij).  With P = F + D, each pair defect ||P_ij P_kl - delta_jk P_il|| is
+    then at most sqrt(s) (1 + u) u + (3 + 2u) r + r^2.  Rounding: a product of
+    two generators is off by at most (m + 2) eps K^2 per block, K the largest
+    norm of a G_i in one block (Higham, Secs. 3.5-3.6), so by
     e_r = sqrt(s) (m + 2) eps K^2 over all blocks; the allowance 2 e_r (1 + K)^2
-    covers rho and each pair defect.  Relative rounding (sums, norms, K) is
-    left to the factor two under DEFAULT_ATOL.
+    covers r~ and each pair defect.  Relative rounding (sums, norms, K) is left
+    to the factor two under DEFAULT_ATOL.
     """
-    dims, images = f.source.block_dims, []  # F(E_i0) over every (y, i)
-    for y, n in enumerate(dims):
-        for i in range(n):
-            blocks = [np.zeros((m, m)) for m in dims]
+    sq, k = [], 0.0  # worst ||P_ij - G_i G_j^H||^2 per source block, largest ||G_i||^2
+    for y, idx in enumerate(units):
+        images = []
+        for i in range(len(idx)):
+            blocks = [np.zeros((n, n)) for n in f.source.block_dims]
             blocks[y][i, 0] = 1.0
             images.append(apply_hom(f, AlgebraElement(f.source, tuple(blocks))).blocks)
-    gens = np.concatenate([idx[0] for idx in units])  # P_i0 in the same order
-    diffs = [np.array(g) - st[gens] for st, g in zip(stacks, zip(*images))]
-    e = np.sqrt(np.max(sum((np.abs(df) ** 2).sum(axis=(1, 2)) for df in diffs)))
-    k = np.sqrt(np.max([(np.abs(st[gens]) ** 2).sum(axis=(1, 2)) for st in stacks]))
-    sq = [0.0] * len(units)
-    for st in stacks:
-        for y, idx in enumerate(units):
-            p = st[idx[0]]
-            d = p[:, None] @ p.conj().transpose(0, 2, 1) - st[idx.T]  # [i, j]: vs P_ij
-            sq[y] = sq[y] + (np.abs(d) ** 2).sum(axis=(2, 3))
-    rho = np.sqrt(np.max([q.max() for q in sq]))
+        q = 0.0
+        for st, g in zip(stacks, map(np.array, zip(*images))):  # per target block
+            d = g[:, None] @ g.conj().transpose(0, 2, 1) - st[idx.T]  # [i, j]: vs P_ij
+            q = q + (np.abs(d) ** 2).sum(axis=(2, 3))
+            k = np.maximum(k, (np.abs(g) ** 2).sum(axis=(1, 2)).max())
+        sq.append(q.max())
+    r_gens, k = np.sqrt(np.max(sq)), np.sqrt(k)
     u = np.max([np.linalg.norm(c.conj().T @ c - np.eye(len(c))) for c in f.conjugators])
     s, m = len(stacks), max(st.shape[1] for st in stacks)
     unitarity = np.sqrt(s) * (1 + u) * u
-    r = rho + (2 * k + e) * e + unitarity
+    r = r_gens + unitarity
     e_r = np.sqrt(s) * (m + 2) * np.finfo(float).eps * k**2
     return float(unitarity + (3 + 2 * u) * r + r**2 + 2 * e_r * (1 + k) ** 2)
 

@@ -214,6 +214,22 @@ def test_malformed_document_and_dims_exit_2(workdir, tmp_path, capsys):
     _one_error_line(capsys)
 
 
+@pytest.mark.parametrize("message", ["Unable to allocate 256. MiB for an array", ""])
+def test_memory_error_is_one_line_naming_the_command_and_exit_2(
+    workdir, monkeypatch, capsys, message
+):
+    import ncstat.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "construct_optimal_hypothesis", exhausted)
+    assert main(["disintegrate", workdir["hom.json"], workdir["omega.json"]]) == 2
+    err = _one_error_line(capsys)
+    assert err.startswith("ncstat: error: disintegrate: out of memory")
+    assert message in err
+
+
 def test_disintegrate_success(workdir, tmp_path, capsys):
     out = str(tmp_path / "dis.json")
     assert main(["disintegrate", workdir["hom.json"], workdir["omega.json"], "-o", out]) == 0

@@ -473,11 +473,24 @@ def test_build_on_identity_conjugators_matches_standard_frame(monkeypatch):
         assert validate_morphism(m).ok
 
 
+def _einsum_segment_choi(alpha: np.ndarray, c: int, n: int) -> np.ndarray:
+    """The segment Choi matrix from the segment map on the (cn)^4 unit stack."""
+    return choi_from_function(
+        lambda e: np.einsum(
+            "kl,...ljkJ->...jJ", alpha, e.reshape(e.shape[:-2] + (c, n, c, n))
+        ),
+        c * n,
+        n,
+    )
+
+
 def test_build_evaluates_segment_units_only(monkeypatch):
-    # each nonzero component's Choi matrix is built on its diagonal segment,
-    # side s = c * n, from one evaluation on the (s, s, s, s) unit stack and
-    # the broadcast check's one on a single (s, s) unit; a zero multiplicity
-    # makes no call.  Checked on a standard and on a Haar-conjugated hom.
+    # each nonzero component's segment Choi matrix is alpha^T kron the identity
+    # map's Choi matrix of side n: one evaluation on the (n, n, n, n) unit stack
+    # and the broadcast check's one on a single (n, n) unit; a zero multiplicity
+    # makes no call.  The components match the segment map's Choi matrix built
+    # on the (cn)^4 unit stack byte for byte.  Checked on a standard and on a
+    # Haar-conjugated hom.
     import ncstat.hypotheses as hyp
     import ncstat.maps as maps
 
@@ -510,14 +523,47 @@ def test_build_evaluates_segment_units_only(monkeypatch):
         alphas = gen_alpha_family(np.random.default_rng(7), hom.mult)
         m = build_hypothesis_from_alphas(hom, xi, alphas)
         expected = [
-            [c * n, n, [(c * n,) * 4, (c * n,) * 2]]
+            [n, n, [(n,) * 4, (n,) * 2]]
             for c_row, n in zip(hom.mult, hom.source.block_dims)
             for c in c_row
             if c
         ]
         assert sorted(calls) == sorted(expected)
+        for y, (c_row, n) in enumerate(zip(hom.mult, hom.source.block_dims)):
+            for x, c in enumerate(c_row):
+                if c:
+                    seg = hom.segments[x][y]
+                    ref = _fold_conjugation(
+                        _einsum_segment_choi(alphas.blocks[y][x], c, n),
+                        hom.conjugators[x][:, seg].conj(),
+                        True,
+                    )
+                    assert m.cpu.components[y][x].tobytes() == ref.tobytes()
         assert validate_morphism(m).ok
         assert is_optimal(m)[0]
+
+
+def test_construct_memory_grows_with_the_result_only():
+    # construct on (1) -> (s) with multiplicity s: the result is one s x s Choi
+    # matrix, so the peak grows as s^2, not as the s^4 segment unit stack
+    import tracemalloc
+
+    peaks = {}
+    for s in (32, 64):
+        rng = np.random.default_rng(s)
+        hom = StarHom(AlgebraSpec((1,)), AlgebraSpec((s,)), ((s,),), (haar_unitary(rng, s),))
+        g = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
+        d = g @ g.conj().T
+        omega = State(hom.target, (d / np.trace(d).real,))
+        tracemalloc.start()
+        try:
+            m = construct_optimal_hypothesis(hom, omega)
+            peaks[s] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert isinstance(m, NCMorphism)
+    assert peaks[64] < 4 * 2**20
+    assert peaks[64] / peaks[32] <= 6
 
 
 @pytest.mark.parametrize("atol", [math.inf, math.nan, -0.5])

@@ -45,7 +45,6 @@ from ncstat.maps import (
     pushforward_state,
     strip_conjugators,
     validate_cpu,
-    vec_element,
 )
 
 
@@ -231,15 +230,31 @@ def test_pushforward_traces_out_copies():
     assert np.allclose(xi.densities[0], want, atol=1e-12)
 
 
-def test_vec_roundtrip():
-    alg = AlgebraSpec((2, 1))
-    rng = np.random.default_rng(2)
-    a = AlgebraElement(alg, (rng.standard_normal((2, 2)), rng.standard_normal((1, 1))))
-    v = vec_element(a)
-    assert v.shape == (alg.dim,)
+def _vec(a: AlgebraElement) -> np.ndarray:
     # column-major within each block, blocks concatenated in order
-    assert np.array_equal(v[:4].reshape(2, 2, order="F"), a.blocks[0])
-    assert np.array_equal(v[4:], a.blocks[1].ravel())
+    return np.concatenate([b.flatten(order="F") for b in a.blocks])
+
+
+def _reference_hom_to_raw(f: StarHom) -> np.ndarray:
+    """The raw matrix one matrix unit at a time: column k is the vec of F(E_k)."""
+    return np.column_stack(
+        [_vec(apply_hom(f, e)) for _, _, _, e in f.source.matrix_units()]
+    )
+
+
+def test_hom_to_raw_matches_the_per_unit_reference():
+    cfg = GeneratorConfig(seed=202, trials=100, max_block_dim=6)
+    homs = []
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        homs.append(gen_star_hom(rng, gen_algebra(rng, cfg), cfg))
+    u = haar_unitary(np.random.default_rng(241), 16)  # the ladder's (8) -> (16) hom
+    homs.append(StarHom(AlgebraSpec((8,)), AlgebraSpec((16,)), ((2,),), (u,)))
+    for f in homs:
+        got = hom_to_raw(f).matrix
+        want = _reference_hom_to_raw(f)
+        assert got.shape == want.shape == (f.target.dim, f.source.dim)
+        assert np.max(np.abs(got - want)) <= 1e-15
 
 
 def test_choi_identity_and_transpose():
@@ -443,8 +458,8 @@ def _reference_mult_defect(raw: RawLinearMap) -> float:
 
 def _perturbed(raw: RawLinearMap, eps: float) -> RawLinearMap:
     # (1 + eps) F - eps tau(.) 1: unital and adjoint-preserving, not multiplicative
-    tau = vec_element(raw.source.identity()) / raw.source.side
-    one = vec_element(raw.target.identity())
+    tau = _vec(raw.source.identity()) / raw.source.side
+    one = _vec(raw.target.identity())
     return RawLinearMap(
         raw.source, raw.target, (1 + eps) * raw.matrix - eps * np.outer(one, tau)
     )
@@ -527,8 +542,9 @@ def _with_unitarity_defect(rng, f: StarHom) -> StarHom:
 
 
 def _with_scaled_generators(rng, f: StarHom) -> RawLinearMap:
-    # P_ij = (1 + eta_i)(1 + eta_j) F(E_ij), eta_0 = 0: P_ij = P_i0 P_j0^H (rho = 0)
-    # and u = 0, while e and every residual are about the largest eta
+    # P_ij = (1 + eta_i)(1 + eta_j) F(E_ij), eta_0 = 0, and u = 0: the raw
+    # generators P_i0 are off F(E_i0), and every ||P_ij - G_i G_j^H|| and every
+    # residual is about the largest eta
     eta = [np.r_[0.0, 10 ** rng.uniform(-12, -9, n - 1)] for n in f.source.block_dims]
     scale = np.concatenate([np.outer(1 + h, 1 + h).reshape(-1) for h in eta])
     return RawLinearMap(f.source, f.target, hom_to_raw(f).matrix * scale)
@@ -537,7 +553,7 @@ def _with_scaled_generators(rng, f: StarHom) -> RawLinearMap:
 def _with_unitarity_defect_off_index_0(rng, f: StarHom) -> StarHom:
     # U (1 + t Q), Q the standard image of E_11 of the first source block of side
     # >= 2: U^H U - 1 misses every copy of index 0, so this hom's own raw map has
-    # rho = e = 0, and its pair defects come from the unitarity defect alone
+    # P_ij = G_i G_j^H, and its pair defects come from the unitarity defect alone
     e11 = next((e for _, i, j, e in f.source.matrix_units() if i == j == 1), None)
     if e11 is None:
         return f
@@ -547,8 +563,8 @@ def _with_unitarity_defect_off_index_0(rng, f: StarHom) -> StarHom:
     return StarHom(f.source, f.target, f.mult, conj)
 
 
-# e-only and u-only: raws on which the e term or the unitarity term of
-# _certificate alone carries the defect the two tests compare with
+# e-only and u-only: raws on which the generators' distance from F(E_i0) or the
+# unitarity term of _certificate alone carries the defect the two tests compare with
 CERTIFICATE_KINDS = (
     "valid", "perturbed", "edited", "noisy", "non-unitary", "e-only", "u-only"
 )
