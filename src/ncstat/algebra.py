@@ -312,14 +312,17 @@ def absolutely_continuous(
     The supports are the kept eigenvectors of the cached spectra (``State.support``,
     cutoff relative to each state's largest eigenvalue).  With U1, V2 the kept
     eigenvectors of one block of s1 and s2, the test is
-    norm(U1 - V2 (V2^H U1), 2)^2 <= cutoff, which equals
-    norm((1 - P2) P1 (1 - P2), 2) for the support projections P1, P2.
+    norm(R, 2)^2 <= cutoff for R = U1 - V2 (V2^H U1), which equals
+    norm((1 - P2) P1 (1 - P2), 2) for the support projections P1, P2.  Since
+    norm(R, 2) <= norm(R, 'fro'), a block whose squared Frobenius norm is at
+    most cutoff / 2 (a margin for rounding) is contained without an SVD.
     Raises LinAlgError when a density has an eigenvalue below -DEFAULT_ATOL.
     """
     if s1.algebra != s2.algebra:
         raise AlgebraMismatchError("states live on different algebras")
     for (_, u1), (_, v2) in zip(s1.support(cutoff), s2.support(cutoff)):
-        if u1.size and np.linalg.norm(u1 - v2 @ (v2.conj().T @ u1), 2) ** 2 > cutoff:
+        r = u1 - v2 @ (v2.conj().T @ u1)
+        if not np.vdot(r, r).real <= cutoff / 2 and np.linalg.norm(r, 2) ** 2 > cutoff:
             return False
     return True
 

@@ -25,7 +25,7 @@ _MASK64 = (1 << 64) - 1
 # mu / side: 2 FAITHFUL_FLOOR up to side 250, 1 / (2 side) beyond.
 FAITHFUL_FLOOR = 1e-3
 
-_shared: dict | None = None  # one trial's composite draws while laws.run_laws runs
+_shared: dict | None = None  # one trial's shared draws and rectifications in run_laws
 
 
 @dataclass(frozen=True)

@@ -416,7 +416,9 @@ def build_hypothesis_from_alphas(
         if c == 0:
             return np.zeros((m * n, m * n), dtype=np.complex128)
         alpha, seg = alphas.blocks[y][x], hom.segments[x][y]
-        choi = np.kron(alpha.T, choi_from_function(lambda e: e, n, n))
+        ident = choi_from_function(lambda e: e, n, n)
+        choi = alpha.T[:, None, :, None] * ident[None, :, None, :]  # alpha.T kron ident
+        choi = choi.reshape(c * n * n, c * n * n)
         return _fold_conjugation(choi, hom.conjugators[x][:, seg].conj(), True)
 
     grid = [

@@ -321,9 +321,23 @@ def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
     return TrialOutcome(defect=max(worst, abs(before - after)))
 
 
+def _rectified(inner, outer):
+    """rectify_pair(inner, outer), computed once per trial's pair in run_laws.
+
+    The result lives in the trial's store (generators._shared) with the pair,
+    which keeps the ids in its key valid; with no store every call computes.
+    """
+    if (store := generators._shared) is None:
+        return rectify_pair(inner, outer)
+    key = (rectify_pair, id(inner), id(outer))
+    if key not in store:
+        store[key] = rectify_pair(inner, outer), inner, outer
+    return store[key][0]
+
+
 def _law_pair_rectification(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
-    r = rectify_pair(inner, outer)
+    r = _rectified(inner, outer)
     g, f = r.morphisms
     if not (g.hom.is_standard() and f.hom.is_standard()):
         return TrialOutcome(defect=1.0)
@@ -346,7 +360,7 @@ def _law_composition_closure(rng, cfg) -> TrialOutcome:
 
 def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
-    r = rectify_pair(inner, outer)
+    r = _rectified(inner, outer)
     g, f = r.morphisms
     alphas = extract_alphas(f)
     back = compose_morphisms(g, f).pushback
@@ -414,7 +428,7 @@ def _law_functoriality(rng, cfg) -> TrialOutcome:
 
 def _law_re_expansions(rng, cfg) -> TrialOutcome:
     inner, outer = gen_composable_pair(cfg, rng)
-    r = rectify_pair(inner, outer)
+    r = _rectified(inner, outer)
     check = ent.re_expansions(r.morphisms[0], r.morphisms[1])
     return TrialOutcome(defect=max(check.defects))
 
@@ -425,9 +439,8 @@ def _law_affinity(rng, cfg) -> TrialOutcome:
     r1 = ent.re_functor(m1)
     r2 = ent.re_functor(m2)
     worst = 0.0
-    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):
-        combined = ent.convex_sum_morphisms(lam, m1, m2)
-        value = ent.re_functor(combined)
+    for lam in (0.0, 0.25, 0.5, 0.75, 1.0):  # one direct sum alive at a time
+        value = ent.re_functor(ent.convex_sum_morphisms(lam, m1, m2))
         worst = max(worst, abs(value - (lam * r1 + (1 - lam) * r2)))
     return TrialOutcome(defect=worst)
 
@@ -495,7 +508,8 @@ LAWS: tuple[tuple[str, float, object], ...] = (
 def run_laws(cfg: GeneratorConfig) -> LawReport:
     """Run every law over cfg.trials derived streams and aggregate the defects.
 
-    Trials run in turn; within one, laws share composite draws (_shared_draw).
+    Trials run in turn; within one, laws share composite draws (_shared_draw)
+    and the shared pair's rectification (_rectified) through one store.
     The infinity-coverage law additionally fails when faithful_only is off but
     no infinite instance showed up across all its trials.
     """

@@ -267,6 +267,82 @@ def test_absolute_continuity_rejects_non_psd():
         absolutely_continuous(bad, good)
 
 
+def _tilted_pair(sq_tilt: float, k: int = 3) -> tuple[State, State]:
+    """s1's support tilts each of k kept directions of s2 by the same small angle.
+
+    The residual of absolutely_continuous then has k equal singular values
+    sqrt(sq_tilt): its squared 2-norm is sq_tilt, its squared Frobenius norm
+    k * sq_tilt.
+    """
+    e = np.eye(2 * k)
+    vecs = math.sqrt(1 - sq_tilt) * e[:, :k] + math.sqrt(sq_tilt) * e[:, k:]
+    w = np.arange(k, 0, -1) / (k * (k + 1) / 2)
+    a = AlgebraSpec((2 * k,))
+    return (
+        State(a, ((vecs * w) @ vecs.T,)),
+        State(a, (np.diag(np.concatenate([w, np.zeros(k)])),)),
+    )
+
+
+def _count_norm2(monkeypatch) -> list:
+    calls, norm = [], np.linalg.norm
+
+    def spy(x, ord=None, *args, **kwargs):
+        if ord == 2:
+            calls.append(1)
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "norm", spy)
+    return calls
+
+
+def test_absolute_continuity_settles_a_frobenius_miss_by_the_svd(monkeypatch):
+    calls = _count_norm2(monkeypatch)
+    # squared Frobenius norm 9e-11 > cutoff / 2, squared 2-norm 3e-11 <= cutoff
+    s1, s2 = _tilted_pair(3e-11)
+    assert absolutely_continuous(s1, s2)
+    assert calls
+    # squared 2-norm 2e-10 > cutoff: a clear miss
+    s1, s2 = _tilted_pair(2e-10)
+    assert not absolutely_continuous(s1, s2)
+    full = State(AlgebraSpec((2,)), (np.eye(2) / 2,))
+    partial = State(AlgebraSpec((2,)), (np.diag([1.0, 0.0]),))
+    assert not absolutely_continuous(full, partial)
+
+
+def test_absolute_continuity_needs_no_svd_on_a_faithful_pair(monkeypatch):
+    rng = np.random.default_rng(3067)
+    a = AlgebraSpec((3, 2))
+    states = []
+    for _ in range(2):
+        blocks = []
+        for n in a.block_dims:
+            g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            blocks.append(g @ g.conj().T + 0.1 * np.eye(n))
+        total = sum(np.trace(b).real for b in blocks)
+        states.append(State(a, tuple(b / total for b in blocks)))
+    calls = _count_norm2(monkeypatch)
+    assert absolutely_continuous(*states) and absolutely_continuous(*states[::-1])
+    # contained up to rounding: a support inside a wider one
+    s1, s2 = _tilted_pair(0.0)
+    assert absolutely_continuous(s1, s2)
+    assert not calls
+    partial = State(AlgebraSpec((2,)), (np.diag([1.0, 0.0]),))
+    full = State(AlgebraSpec((2,)), (np.eye(2) / 2,))
+    assert not absolutely_continuous(full, partial)
+    assert calls
+
+
+def test_absolute_continuity_rejects_a_nan_density():
+    a = AlgebraSpec((2,))
+    good = State(a, (np.eye(2) / 2,))
+    bad = State(a, (np.array([[np.nan, 0.0], [0.0, 0.5]]),))
+    with pytest.raises(np.linalg.LinAlgError):
+        absolutely_continuous(good, bad)
+    with pytest.raises(np.linalg.LinAlgError):
+        absolutely_continuous(bad, good)
+
+
 def test_validate_state_reports_non_finite_entries():
     for d in (
         [[np.nan, 0], [0, 0.5]],

@@ -367,3 +367,48 @@ def test_run_laws_releases_each_trials_instances_by_the_next(monkeypatch):
     assert released == [[], [True], [True, True], [True, True, True]]
     assert shared == [True] * 4
     assert refs[-1]() is None  # the last trial's pair goes when run_laws returns
+
+
+PAIR_LAWS = ("pair-rectification", "composite-state-expansion", "re-expansion-identities")
+
+
+def _count_rectifications(monkeypatch) -> list:
+    made, rectify = [], laws.rectify_pair
+
+    def spy(inner, outer):
+        made.append(rectify(inner, outer))
+        return made[-1]
+
+    monkeypatch.setattr(laws, "rectify_pair", spy)
+    return made
+
+
+def test_run_laws_rectifies_each_trials_pair_once(monkeypatch):
+    made = _count_rectifications(monkeypatch)
+    assert run_laws(GeneratorConfig(seed=3, trials=3)).ok
+    assert len(made) == 3
+
+
+def test_direct_law_calls_rectify_afresh(monkeypatch):
+    made = _count_rectifications(monkeypatch)
+    table = {name: fn for name, _, fn in LAWS}
+    for name in PAIR_LAWS:
+        table[name](rng_for(CFG, 0), CFG)
+    assert len(made) == 3 and len({id(r) for r in made}) == 3
+
+
+def test_rectification_sharing_is_off_after_a_law_raises(monkeypatch):
+    pair_rectification = {name: fn for name, _, fn in LAWS}[PAIR_LAWS[0]]
+
+    def raising(rng, cfg):
+        pair_rectification(rng, cfg)
+        raise RuntimeError("law broke")
+
+    monkeypatch.setattr(laws, "LAWS", (("raising", 0.5, raising),))
+    with pytest.raises(RuntimeError, match="law broke"):
+        run_laws(GeneratorConfig(seed=3, trials=2))
+    assert generators._shared is None
+    made = _count_rectifications(monkeypatch)
+    for _ in range(2):
+        pair_rectification(rng_for(CFG, 0), CFG)
+    assert len(made) == 2 and made[0] is not made[1]
