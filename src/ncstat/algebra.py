@@ -42,7 +42,12 @@ def as_int(value: object, what: str) -> int:
 
 
 def frozen_matrix(m: object, shape: tuple[int, int], what: str) -> np.ndarray:
-    """Read-only complex128 copy of m; a ShapeError naming what on a wrong shape."""
+    """Read-only complex128 copy of m; a ShapeError naming what on a wrong shape.
+
+    A read-only complex128 ndarray of that shape owning its data (no view) is kept."""
+    if type(m) is np.ndarray and not m.flags.writeable and m.flags.owndata:
+        if m.dtype == np.complex128 and m.shape == shape:
+            return m
     a = np.array(m, dtype=np.complex128)
     if a.shape != shape:
         raise ShapeError(f"{what} must be {shape[0]}x{shape[1]}, got shape {a.shape}")

@@ -617,9 +617,12 @@ def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
 def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:
     src = direct_sum_algebras(q.source, r.source)
     tgt = direct_sum_algebras(q.target, r.target)
+    zeros: dict[int, np.ndarray] = {}  # one read-only zero block per side, shared
 
     def zero(y: int, x: int) -> np.ndarray:
         side = src.block_dims[x] * tgt.block_dims[y]
-        return np.zeros((side, side), dtype=np.complex128)
+        if side not in zeros:
+            zeros[side] = frozen_matrix(np.zeros((side, side)), (side, side), "zero")
+        return zeros[side]
 
     return CPUMap(src, tgt, _direct_sum_grid(q.components, r.components, zero))

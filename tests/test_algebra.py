@@ -9,6 +9,7 @@ from ncstat.algebra import (
     State,
     absolutely_continuous,
     direct_sum_algebras,
+    frozen_matrix,
     hermitian_eigen,
     hermitian_exp,
     hermitian_log,
@@ -83,6 +84,42 @@ def test_element_blocks_immutable():
     x = AlgebraElement(a, (np.eye(2),))
     with pytest.raises(ValueError):
         x.blocks[0][0, 0] = 5.0
+
+
+def test_frozen_matrix_keeps_a_read_only_complex_array_that_owns_its_data():
+    a = np.array([[0, 1j], [2, 3]])
+    a.setflags(write=False)
+    assert frozen_matrix(a, (2, 2), "m") is a
+    assert AlgebraElement(AlgebraSpec((2,)), (a,)).blocks[0] is a
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda a: a,  # writable
+        lambda a: a.T,  # a view, whose base may still be written
+        lambda a: a.real.copy(),  # float64
+        lambda a: a.astype(np.dtype(">c16")),  # complex128, other byte order
+    ],
+    ids=["writable", "view", "float64", "byteswapped"],
+)
+def test_frozen_matrix_copies_what_it_cannot_keep(make):
+    base = np.array([[0, 1], [2, 3]], dtype=np.complex128)
+    m = make(base)
+    m.setflags(write=m is base)
+    got = frozen_matrix(m, (2, 2), "m")
+    assert got is not m and not np.shares_memory(got, base)
+    assert got.dtype == np.complex128 and not got.flags.writeable
+    assert np.array_equal(got, m)
+    base[0, 0] = 9.0  # the copy does not follow its source
+    assert got[0, 0] == 0.0
+
+
+def test_frozen_matrix_rejects_a_read_only_array_of_the_wrong_shape():
+    a = np.zeros((2, 3), dtype=np.complex128)
+    a.setflags(write=False)
+    with pytest.raises(ShapeError, match="m must be 2x2"):
+        frozen_matrix(a, (2, 2), "m")
 
 
 def test_cross_algebra_ops_rejected():

@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ncstat import generators, laws
+from ncstat import generators, laws, maps
 from ncstat.algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
@@ -25,6 +25,7 @@ from ncstat.generators import (
     gen_classical_distribution,
     gen_composable_pair,
     gen_density,
+    gen_element,
     gen_morphism,
     gen_mult_matrix,
     gen_optimal_morphism,
@@ -39,7 +40,15 @@ from ncstat.hypotheses import (
     validate_morphism,
 )
 from ncstat.laws import LAWS, run_laws
-from ncstat.maps import StarHom, validate_cpu
+from ncstat.maps import (
+    StarHom,
+    apply_hom,
+    hom_from_raw,
+    hom_to_raw,
+    identity_hom,
+    pushforward_state,
+    validate_cpu,
+)
 
 CFG = GeneratorConfig(seed=77, trials=8)
 
@@ -412,3 +421,129 @@ def test_rectification_sharing_is_off_after_a_law_raises(monkeypatch):
     for _ in range(2):
         pair_rectification(rng_for(CFG, 0), CFG)
     assert len(made) == 2 and made[0] is not made[1]
+
+
+# The unit-basis laws as they were written one matrix unit at a time, one
+# apply_hom call per unit; compose_homs and hom_from_raw are read off laws so
+# that a mutant patched in there reaches both.
+
+
+def _reference_hom_raw_roundtrip(rng, cfg) -> float:
+    alg = gen_algebra(rng, cfg)
+    f = gen_star_hom(rng, alg, cfg)
+    back = laws.hom_from_raw(hom_to_raw(f))
+    if back.mult != f.mult:
+        return 1.0
+    worst = 0.0
+    for _, _, _, e in alg.matrix_units():
+        worst = max(worst, apply_hom(back, e).distance(apply_hom(f, e)))
+    return worst
+
+
+def _reference_hom_composition(rng, cfg) -> float:
+    bottom = gen_algebra(rng, cfg)
+    g = gen_star_hom(rng, bottom, cfg)
+    f = gen_star_hom(rng, g.target, cfg)
+    h = laws.compose_homs(f, g)
+    expected_mult = np.array(g.mult, dtype=int) @ np.array(f.mult, dtype=int)
+    if not np.array_equal(np.array(h.mult, dtype=int), expected_mult):
+        return 1.0
+    worst = 0.0
+    for _, _, _, e in bottom.matrix_units():
+        worst = max(worst, apply_hom(h, e).distance(apply_hom(f, apply_hom(g, e))))
+    left = laws.compose_homs(identity_hom(f.target), f)
+    right = laws.compose_homs(f, identity_hom(f.source))
+    a = gen_element(rng, f.source)
+    worst = max(worst, apply_hom(left, a).distance(apply_hom(f, a)))
+    return max(worst, apply_hom(right, a).distance(apply_hom(f, a)))
+
+
+def _reference_pushforward_definitional(rng, cfg) -> float:
+    alg = gen_algebra(rng, cfg)
+    f = gen_star_hom(rng, alg, cfg)
+    omega = gen_state(f.target, cfg, rng)
+    xi = pushforward_state(omega, f)
+    direct = [np.zeros((n, n), dtype=np.complex128) for n in alg.block_dims]
+    for y, i, j, unit in alg.matrix_units():
+        direct[y][j, i] = omega.evaluate(apply_hom(f, unit))
+    return max(float(np.linalg.norm(d - x)) for d, x in zip(direct, xi.densities))
+
+
+UNIT_BASIS_REFERENCES = {
+    "hom-raw-roundtrip": _reference_hom_raw_roundtrip,
+    "hom-composition": _reference_hom_composition,
+    "pushforward-definitional": _reference_pushforward_definitional,
+}
+
+
+def _defects(name: str, cfg: GeneratorConfig) -> tuple[list[float], list[float]]:
+    """Per-trial defects of the law and of its per-unit reference, on one stream."""
+    law = {n: fn for n, _, fn in LAWS}[name]
+    reference = UNIT_BASIS_REFERENCES[name]
+    trials = range(cfg.trials)
+    return (
+        [law(rng_for(cfg, t), cfg).defect for t in trials],
+        [reference(rng_for(cfg, t), cfg) for t in trials],
+    )
+
+
+@pytest.mark.parametrize("max_dim", [GeneratorConfig().max_block_dim, 8])
+@pytest.mark.parametrize("name", list(UNIT_BASIS_REFERENCES))
+def test_unit_basis_laws_match_the_per_unit_reference(name, max_dim):
+    cfg = GeneratorConfig(seed=42, trials=40, max_block_dim=max_dim)
+    got, want = _defects(name, cfg)
+    assert np.max(np.abs(np.subtract(got, want))) <= 1e-14
+
+
+def _compose_homs_runs_by_middle_block(outer, inner):
+    """compose_homs with the runs of each target block taken by (y, z), not (z, y)."""
+    conjugators = []
+    for u, segs in zip(outer.conjugators, outer.segments):
+        perm = [
+            i
+            for seg, runs, n in zip(segs, inner.segments, inner.target.block_dims)
+            for run in runs
+            for lo in range(seg.start, seg.stop, n)
+            for i in range(lo + run.start, lo + run.stop)
+        ]
+        w = maps._standard_block(inner.conjugators, segs)
+        conjugators.append((u @ w)[:, perm])
+    mult = (np.array(inner.mult) @ np.array(outer.mult)).tolist()
+    return StarHom(inner.source, outer.target, mult, tuple(conjugators))
+
+
+def _hom_from_raw_conjugated(raw):
+    f = hom_from_raw(raw)
+    return StarHom(f.source, f.target, f.mult, tuple(u.conj() for u in f.conjugators))
+
+
+@pytest.mark.parametrize(
+    "name, target, mutant",
+    [
+        ("hom-composition", "compose_homs", _compose_homs_runs_by_middle_block),
+        ("hom-raw-roundtrip", "hom_from_raw", _hom_from_raw_conjugated),
+    ],
+    ids=["runs-by-middle-block", "conjugated-conjugators"],
+)
+def test_unit_basis_laws_fail_a_mutant_where_the_reference_does(
+    monkeypatch, name, target, mutant
+):
+    monkeypatch.setattr(laws, target, mutant)
+    tol = {n: t for n, t, _ in LAWS}[name]
+    got, want = _defects(name, GeneratorConfig(seed=42, trials=200))
+    failing = [t for t, d in enumerate(want) if not d <= tol]
+    assert failing  # the mutant is caught at all
+    assert [t for t, d in enumerate(got) if not d <= tol] == failing
+    assert np.allclose(got, want, rtol=1e-12, atol=1e-14)  # the worst unit's distance
+
+
+def test_run_laws_evaluates_the_unit_basis_laws_a_column_per_call(monkeypatch):
+    calls, apply = [], laws.apply_hom
+
+    def spy(f, a):
+        calls.append(a)
+        return apply(f, a)
+
+    monkeypatch.setattr(laws, "apply_hom", spy)
+    assert run_laws(GeneratorConfig(seed=42, trials=10)).ok
+    assert len(calls) <= 250  # one call per matrix unit made 682

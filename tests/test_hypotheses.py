@@ -566,6 +566,31 @@ def test_construct_memory_grows_with_the_result_only():
     assert peaks[64] / peaks[32] <= 6
 
 
+def test_validate_memory_grows_as_the_choi_components():
+    # validate on the ladder's hom (k) + (k) -> (4k), multiplicity 2, Haar
+    # conjugator: Q's Choi components have side 4k^2, so the peak grows as
+    # side^4, 16x per doubling, and no faster
+    import tracemalloc
+
+    peaks = {}
+    for side in (32, 64):
+        rng = np.random.default_rng(side)
+        k = side // 4
+        src = AlgebraSpec((k, k))
+        hom = StarHom(src, AlgebraSpec((side,)), ((2,), (2,)), (haar_unitary(rng, side),))
+        cfg = GeneratorConfig(seed=side, max_block_dim=k)
+        xi = gen_state(src, cfg, rng, faithful=True)
+        m = build_hypothesis_from_alphas(hom, xi, gen_alpha_family(rng, hom.mult))
+        tracemalloc.start()
+        try:
+            report = validate_morphism(m)
+            peaks[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok, report.describe()
+    assert peaks[64] / peaks[32] <= 20
+
+
 @pytest.mark.parametrize("atol", [math.inf, math.nan, -0.5])
 def test_is_optimal_rejects_unusable_tolerance(atol):
     # an infinite atol used to call this non-optimal morphism optimal

@@ -763,6 +763,18 @@ def test_identity_cpu_and_validation():
     assert apply_cpu(q, a).distance(a) < 1e-14
 
 
+def test_direct_sum_cpus_shares_one_zero_block_per_side():
+    # cross component (y, x) has side m_x n_y: (0, 2) and (2, 0) are 6 x 6,
+    # (1, 2) and (2, 1) are 3 x 3
+    q, r = identity_cpu(AlgebraSpec((2, 1))), identity_cpu(AlgebraSpec((3,)))
+    comps = maps.direct_sum_cpus(q, r).components
+    assert comps[0][2] is comps[2][0] and comps[1][2] is comps[2][1]
+    for zero, side in ((comps[0][2], 6), (comps[1][2], 3)):
+        assert zero.shape == (side, side) and not zero.any()
+        assert not zero.flags.writeable
+    assert comps[0][0] is q.components[0][0] and comps[2][2] is r.components[0][0]
+
+
 def test_validate_cpu_flags_transpose():
     alg = AlgebraSpec((2,))
     q = cpu_from_functions(alg, alg, lambda y, x, e: np.swapaxes(e, -1, -2))
