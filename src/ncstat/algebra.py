@@ -55,6 +55,23 @@ def frozen_matrix(m: object, shape: tuple[int, int], what: str) -> np.ndarray:
     return a
 
 
+def _read_only(arrays: Iterable[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """The arrays as a tuple, each marked read-only in place (no copy)."""
+    arrays = tuple(arrays)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass cls holding fields as given, made
+    without __init__ and so without its check or copy."""
+    obj = object.__new__(cls)
+    for name, value in fields.items():
+        object.__setattr__(obj, name, value)
+    return obj
+
+
 @dataclass(frozen=True)
 class AlgebraSpec:
     """Direct sum of full matrix algebras, recorded as ordered block side lengths."""
@@ -68,6 +85,11 @@ class AlgebraSpec:
         if any(d < 1 for d in dims):
             raise ShapeError(f"block dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "block_dims", dims)
+
+    @classmethod
+    def _trusted(cls, block_dims: tuple[int, ...]) -> "AlgebraSpec":
+        """The spec of block sides taken from checked specs: no check, no copy."""
+        return _unchecked(cls, block_dims=block_dims)
 
     @property
     def num_blocks(self) -> int:
@@ -181,6 +203,16 @@ class State:
         )
         object.__setattr__(self, "densities", frozen)
         object.__setattr__(self, "_supports", {})  # cutoff -> support()
+
+    @classmethod
+    def _trusted(cls, algebra: AlgebraSpec, densities: tuple) -> "State":
+        """A State built from checked values: no check, no copy.
+
+        Each density must be a complex128 matrix of its block's side made from
+        checked values alone; it is marked read-only in place.
+        """
+        densities = _read_only(densities)
+        return _unchecked(cls, algebra=algebra, densities=densities, _supports={})
 
     @cached_property
     def spectra(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
@@ -431,4 +463,4 @@ def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
 
 
 def direct_sum_algebras(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
-    return AlgebraSpec(a.block_dims + b.block_dims)
+    return AlgebraSpec._trusted(a.block_dims + b.block_dims)

@@ -117,7 +117,7 @@ def conditional_entropy(s: State, dims: Sequence[int]) -> float:
         )
     head, tail = math.prod(dims[:-1]), dims[-1]
     rho_tail = partial_trace_left(s.densities[0], head, tail)
-    reduced = State(AlgebraSpec((tail,)), (rho_tail,))
+    reduced = State._trusted(AlgebraSpec((tail,)), (rho_tail,))
     return von_neumann_entropy(reduced) - von_neumann_entropy(s)
 
 
@@ -129,11 +129,12 @@ def convex_sum_objects(lam: float, o1: NCObject, o2: NCObject) -> NCObject:
     """Convex combination: concatenated algebra, densities scaled by the weights."""
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"weight must lie in [0, 1], got {lam}")
+    lam = float(lam)  # the scaled densities stay complex128
     alg = direct_sum_algebras(o1.algebra, o2.algebra)
     densities = tuple(lam * d for d in o1.state.densities) + tuple(
         (1.0 - lam) * d for d in o2.state.densities
     )
-    return NCObject(State(alg, densities))
+    return NCObject(State._trusted(alg, densities))
 
 
 def convex_sum_morphisms(lam: float, m1: NCMorphism, m2: NCMorphism) -> NCMorphism:
@@ -259,7 +260,8 @@ def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphis
     tail = side // head_dim
     alg_top = AlgebraSpec((side,))
     alg_bot = AlgebraSpec((tail,))
-    hom = StarHom(alg_bot, alg_top, ((head_dim,),), (np.eye(side),))
+    eye = np.eye(side, dtype=np.complex128)
+    hom = StarHom._trusted(alg_bot, alg_top, ((head_dim,),), (eye,), (0.0,))
     omega = State(alg_top, (rho_joint,))
     xi = pushforward_state(omega, hom)
     return build_hypothesis_from_alphas(

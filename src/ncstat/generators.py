@@ -115,16 +115,29 @@ def _mix_with_identity(b: np.ndarray, side: int) -> np.ndarray:
     return (1 - mu) * b + (mu / side) * np.eye(b.shape[0])
 
 
-def _columns_summing_to(dims: tuple[int, ...], total: int) -> list[tuple[int, ...]]:
+@functools.cache
+def _columns_summing_to(dims: tuple[int, ...], total: int) -> tuple[tuple[int, ...], ...]:
     """All nonnegative integer columns c with sum_y c[y] * dims[y] == total."""
     if not dims:
-        return [()] if total == 0 else []
+        return ((),) if total == 0 else ()
     head, rest = dims[0], dims[1:]
-    out = []
-    for c in range(total // head + 1):
-        for tail in _columns_summing_to(rest, total - c * head):
-            out.append((c,) + tail)
-    return out
+    return tuple(
+        (c,) + tail
+        for c in range(total // head + 1)
+        for tail in _columns_summing_to(rest, total - c * head)
+    )
+
+
+@functools.cache
+def _feasible_columns(dims: tuple[int, ...], max_side: int) -> tuple:
+    """Per target side up to max_side that some column fills, its columns and,
+    per column, the bitmask of the source blocks it holds (bit y for c[y] > 0)."""
+    sides = (_columns_summing_to(dims, m) for m in range(1, max_side + 1))
+    return tuple(
+        (cols, tuple(sum(1 << y for y, c in enumerate(col) if c) for col in cols))
+        for cols in sides
+        if cols
+    )
 
 
 def gen_mult_matrix(
@@ -145,19 +158,18 @@ def gen_mult_matrix(
                 f"than max_block_dim={cfg.max_block_dim} (source dims {source_dims})"
             )
     t = len(source_dims)
-    options_by_side = {
-        m: _columns_summing_to(source_dims, m)
-        for m in range(1, cfg.max_block_dim + 1)
-    }
-    feasible = [m for m, options in options_by_side.items() if options]
+    feasible = _feasible_columns(tuple(source_dims), cfg.max_block_dim)
+    every = (1 << t) - 1
     for _ in range(200):
         s = int(rng.integers(1, cfg.max_blocks + 1))
-        cols = []
+        cols, covered = [], 0
         for _x in range(s):
-            options = options_by_side[feasible[rng.integers(0, len(feasible))]]
-            cols.append(options[rng.integers(0, len(options))])
-        if all(any(cols[x][y] for x in range(s)) for y in range(t)):
-            return tuple(tuple(cols[x][y] for x in range(s)) for y in range(t))
+            options, masks = feasible[rng.integers(0, len(feasible))]
+            k = rng.integers(0, len(options))
+            cols.append(options[k])
+            covered |= masks[k]
+        if covered == every:
+            return tuple(zip(*cols))
     return tuple(
         tuple(1 if x == y else 0 for x in range(t)) for y in range(t)
     )

@@ -37,8 +37,8 @@ from .errors import (
 from .maps import (
     CPUMap,
     StarHom,
+    _conjugation,
     _fold_conjugation,
-    ad_hom,
     choi_from_function,
     compose_cpu,
     compose_homs,
@@ -239,7 +239,7 @@ def rectify_morphism(m: NCMorphism) -> RectificationResult:
         [_fold_conjugation(c, b.T, True) for c, b in zip(row, u.blocks)]
         for row in m.cpu.components
     ]
-    cpu_r = CPUMap(m.cpu.source, m.cpu.target, folded)
+    cpu_r = CPUMap._trusted(m.cpu.source, m.cpu.target, folded)
     target_r = NCObject(conjugate_state(m.target.state, u))
     rectified = NCMorphism(m.source, target_r, strip_conjugators(m.hom), cpu_r)
     return RectificationResult(u=u, morphisms=(rectified,))
@@ -261,11 +261,12 @@ def rectify_pair(g: NCMorphism, f: NCMorphism) -> RectificationResult:
         [_fold_conjugation(c, b.conj().T, False) for c in row]
         for row, b in zip(f.cpu.components, v.blocks)
     ]
+    ad_v = _conjugation(g.hom.target, g.hom.conjugators, g.hom._defects)
     f_mid = NCMorphism(
         source=rg.morphism.target,
         target=f.target,
-        hom=compose_homs(f.hom, ad_hom(v)),
-        cpu=CPUMap(f.cpu.source, f.cpu.target, folded),
+        hom=compose_homs(f.hom, ad_v),
+        cpu=CPUMap._trusted(f.cpu.source, f.cpu.target, folded),
     )
     rf = rectify_morphism(f_mid)
     return RectificationResult(u=rf.u, v=v, morphisms=(rg.morphism, rf.morphism))
@@ -425,7 +426,7 @@ def build_hypothesis_from_alphas(
         [component(y, x) for x in range(hom.target.num_blocks)]
         for y in range(hom.source.num_blocks)
     ]
-    cpu = CPUMap(hom.target, hom.source, grid)
+    cpu = CPUMap._trusted(hom.target, hom.source, grid)
 
     if target_state is None:
         densities = alphas.assemble(hom, source_state.densities)

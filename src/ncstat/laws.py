@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from itertools import groupby
 
 import numpy as np
 
@@ -229,10 +228,14 @@ def _law_hom_axioms(rng, cfg) -> TrialOutcome:
 
 
 def _unit_columns(alg: AlgebraSpec):
-    """(y, j, units) per column j of block y of alg.matrix_units(), one at a time;
-    units[b] stacks block b of E_0j, ..., E_{n_y - 1, j}."""
-    for (y, j), col in groupby(alg.matrix_units(), key=lambda u: (u[0], u[2])):
-        yield y, j, list(map(np.array, zip(*(e.blocks for *_, e in col))))
+    """(y, j, units) per column j of block y, in the order of alg.matrix_units(),
+    one at a time; units[b] stacks block b of E_0j, ..., E_{n_y - 1, j}."""
+    dims = alg.block_dims
+    for y, n in enumerate(dims):
+        for j in range(n):
+            units = [np.zeros((n, d, d), dtype=np.complex128) for d in dims]
+            units[y][np.arange(n), np.arange(n), j] = 1.0  # units[y][i] = E_ij
+            yield y, j, units
 
 
 def _images(f, stacks: list[np.ndarray]) -> list[np.ndarray]:

@@ -30,6 +30,8 @@ from .algebra import (
     State,
     ValidationReport,
     Violation,
+    _read_only,
+    _unchecked,
     as_int,
     direct_sum_algebras,
     frozen_matrix,
@@ -54,6 +56,7 @@ class StarHom:
     segments[x][y] is the slice of rows (and columns) of target block x that
     holds the mult[y][x] copies of source block y; it is empty where the
     multiplicity vanishes, and the segments of a block partition [0, m_x).
+    _defects[x] is the unitarity defect ||U_x^H U_x - 1|| the check measured.
     """
 
     source: AlgebraSpec
@@ -61,6 +64,7 @@ class StarHom:
     mult: tuple[tuple[int, ...], ...]
     conjugators: tuple[np.ndarray, ...]
     segments: tuple[tuple[slice, ...], ...] = field(init=False, repr=False)
+    _defects: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         t, s = self.source.num_blocks, self.target.num_blocks
@@ -69,21 +73,16 @@ class StarHom:
             raise ShapeError(f"multiplicity matrix must be {t}x{s}")
         if any(c < 0 for row in mult for c in row):
             raise ShapeError("multiplicities must be nonnegative")
-        segments = []
-        for x, m in enumerate(self.target.block_dims):
-            row, off = [], 0
-            for y, n in enumerate(self.source.block_dims):
-                row.append(slice(off, off + mult[y][x] * n))
-                off += mult[y][x] * n
-            if off != m:
+        segments = _segments(mult, self.source, self.target)
+        for x, (row, m) in enumerate(zip(segments, self.target.block_dims)):
+            if row[-1].stop != m:
                 raise ShapeError(
                     f"unitality fails at target block {x}: "
-                    f"sum of mult * source dims is {off}, block dim is {m}"
+                    f"sum of mult * source dims is {row[-1].stop}, block dim is {m}"
                 )
-            segments.append(tuple(row))
         if len(self.conjugators) != s:
             raise ShapeError(f"expected {s} conjugators, got {len(self.conjugators)}")
-        conj = []
+        conj, defects = [], []
         for x, (u, m) in enumerate(zip(self.conjugators, self.target.block_dims)):
             u = frozen_matrix(u, (m, m), f"conjugator {x}")
             defect = np.linalg.norm(u.conj().T @ u - np.eye(m))
@@ -92,9 +91,30 @@ class StarHom:
                     f"conjugator {x} is not unitary (defect {defect:.3e})"
                 )
             conj.append(u)
+            defects.append(defect)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "conjugators", tuple(conj))
-        object.__setattr__(self, "segments", tuple(segments))
+        object.__setattr__(self, "segments", segments)
+        object.__setattr__(self, "_defects", tuple(defects))
+
+    @classmethod
+    def _trusted(cls, source, target, mult, conjugators, defects) -> "StarHom":
+        """A StarHom built from checked values: no check, no copy.
+
+        mult is a tuple of int tuples that fills every target block exactly;
+        each conjugator is a complex128 unitary of a checked hom, or an exact
+        identity, and is marked read-only in place; defects are their recorded
+        unitarity defects, 0.0 for an identity.
+        """
+        return _unchecked(
+            cls,
+            source=source,
+            target=target,
+            mult=mult,
+            conjugators=_read_only(conjugators),
+            segments=_segments(mult, source, target),
+            _defects=defects,
+        )
 
     def is_standard(self) -> bool:
         """Whether every conjugator is the identity within UNITARY_ATOL."""
@@ -102,6 +122,18 @@ class StarHom:
             np.linalg.norm(u - np.eye(u.shape[0])) <= UNITARY_ATOL
             for u in self.conjugators
         )
+
+
+def _segments(mult, source: AlgebraSpec, target: AlgebraSpec) -> tuple:
+    """segments[x][y]: the slice of target block x holding the copies of block y."""
+    segments = []
+    for x in range(target.num_blocks):
+        row, off = [], 0
+        for y, n in enumerate(source.block_dims):
+            row.append(slice(off, off + mult[y][x] * n))
+            off += mult[y][x] * n
+        segments.append(tuple(row))
+    return tuple(segments)
 
 
 def _standard_block(
@@ -127,18 +159,25 @@ def apply_hom(f: StarHom, a: AlgebraElement) -> AlgebraElement:
     return AlgebraElement(f.target, tuple(out))
 
 
+def _identities(algebra: AlgebraSpec) -> tuple[np.ndarray, ...]:
+    return tuple(np.eye(d, dtype=np.complex128) for d in algebra.block_dims)
+
+
+def _conjugation(algebra: AlgebraSpec, conjugators, defects) -> StarHom:
+    """Ad of one checked unitary per block, with its recorded defect."""
+    s = algebra.num_blocks
+    mult = tuple(tuple(1 if x == y else 0 for x in range(s)) for y in range(s))
+    return StarHom._trusted(algebra, algebra, mult, conjugators, defects)
+
+
 def identity_hom(algebra: AlgebraSpec) -> StarHom:
-    return ad_hom(algebra.identity())
+    return _conjugation(algebra, _identities(algebra), (0.0,) * algebra.num_blocks)
 
 
 def strip_conjugators(f: StarHom) -> StarHom:
     """The standard-form homomorphism with the same multiplicities."""
-    return StarHom(
-        f.source,
-        f.target,
-        f.mult,
-        tuple(np.eye(d) for d in f.target.block_dims),
-    )
+    eyes, zeros = _identities(f.target), (0.0,) * f.target.num_blocks
+    return StarHom._trusted(f.source, f.target, f.mult, eyes, zeros)
 
 
 def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
@@ -187,14 +226,14 @@ def pushforward_state(s: State, f: StarHom) -> State:
             c = f.mult[y][x]
             if c:
                 out[y] += partial_trace_left(dt[seg, seg], c, n)
-    return State(f.source, tuple(out))
+    return State._trusted(f.source, tuple(out))
 
 
 def conjugate_state(s: State, u: AlgebraElement) -> State:
     """The state a -> s(u a u^H), with densities u^H D u per block."""
     if s.algebra != u.algebra:
         raise AlgebraMismatchError("unitary lives on a different algebra")
-    return State(
+    return State._trusted(
         s.algebra,
         tuple(b.conj().T @ d @ b for d, b in zip(s.densities, u.blocks)),
     )
@@ -219,15 +258,23 @@ class RawLinearMap:
 
 
 def hom_to_raw(f: StarHom) -> RawLinearMap:
-    """hom_to_cpu's Choi entry F(E_ij)[a, b] moved to row a + m*b, column i + n*j."""
-    rows = [
-        [
-            c.reshape(n, m, n, m).transpose(3, 1, 2, 0).reshape(m * m, n * n)
-            for c, n in zip(comps, f.source.block_dims)
-        ]
-        for comps, m in zip(hom_to_cpu(f).components, f.target.block_dims)
-    ]
-    return RawLinearMap(f.source, f.target, np.block(rows))
+    """hom_to_cpu's Choi entry F(E_ij)[a, b] moved to row a + m*b, column i + n*j.
+
+    Each component is written straight into its block of the result, so the
+    Choi grid and the result are the only matrices of their size alive.
+    """
+    matrix = np.empty((f.target.dim, f.source.dim), dtype=np.complex128)
+    row = 0
+    for comps, m in zip(hom_to_cpu(f).components, f.target.block_dims):
+        col = 0
+        for c, n in zip(comps, f.source.block_dims):
+            # splitting both axes of the slice keeps a view into matrix
+            block = matrix[row : row + m * m, col : col + n * n].reshape(m, m, n, n)
+            block[...] = c.reshape(n, m, n, m).transpose(3, 1, 2, 0)
+            col += n * n
+        row += m * m
+    matrix.setflags(write=False)  # RawLinearMap keeps it instead of copying it
+    return RawLinearMap(f.source, f.target, matrix)
 
 
 def _pairwise_mult_defect(stacks: list[np.ndarray], units: list[np.ndarray]) -> float:
@@ -253,7 +300,8 @@ def _certificate(
     every ||F(E_ij) - P_ij||, from the generators G_i = F(E_i0); NaN stays NaN.
 
     F is the action of f on s target blocks of side <= m.  With r~ the worst
-    ||P_ij - G_i G_j^H|| and u the worst ||U^H U - 1||, every unit is off by
+    ||P_ij - G_i G_j^H|| and u the worst ||U^H U - 1|| (as f's check recorded
+    it), every unit is off by
     r = r~ + sqrt(s) (1 + u) u, the last term the distance of G_i G_j^H from
     F(E_ij).  With P = F + D, each pair defect ||P_ij P_kl - delta_jk P_il|| is
     then at most sqrt(s) (1 + u) u + (3 + 2u) r + r^2.  Rounding: a product of
@@ -263,21 +311,22 @@ def _certificate(
     covers r~ and each pair defect.  Relative rounding (sums, norms, K) is left
     to the factor two under DEFAULT_ATOL.
     """
+    images = [[] for _ in units]  # images[y][i]: the blocks of G_i for block y
+    for y, _, j, e in f.source.matrix_units():  # column 0 of a block comes first
+        if j == 0:
+            images[y].append(apply_hom(f, e).blocks)
+        elif y == len(units) - 1:
+            break
     sq, k = [], 0.0  # worst ||P_ij - G_i G_j^H||^2 per source block, largest ||G_i||^2
-    for y, idx in enumerate(units):
-        images = []
-        for i in range(len(idx)):
-            blocks = [np.zeros((n, n)) for n in f.source.block_dims]
-            blocks[y][i, 0] = 1.0
-            images.append(apply_hom(f, AlgebraElement(f.source, tuple(blocks))).blocks)
+    for idx, gens in zip(units, images):
         q = 0.0
-        for st, g in zip(stacks, map(np.array, zip(*images))):  # per target block
+        for st, g in zip(stacks, map(np.array, zip(*gens))):  # per target block
             d = g[:, None] @ g.conj().transpose(0, 2, 1) - st[idx.T]  # [i, j]: vs P_ij
             q = q + (np.abs(d) ** 2).sum(axis=(2, 3))
             k = np.maximum(k, (np.abs(g) ** 2).sum(axis=(1, 2)).max())
         sq.append(q.max())
     r_gens, k = np.sqrt(np.max(sq)), np.sqrt(k)
-    u = np.max([np.linalg.norm(c.conj().T @ c - np.eye(len(c))) for c in f.conjugators])
+    u = np.max(f._defects)
     s, m = len(stacks), max(st.shape[1] for st in stacks)
     unitarity = np.sqrt(s) * (1 + u) * u
     r = r_gens + unitarity
@@ -466,6 +515,16 @@ class CPUMap:
         )
         object.__setattr__(self, "components", rows)
 
+    @classmethod
+    def _trusted(cls, source, target, components) -> "CPUMap":
+        """A CPUMap built from checked values: no check, no copy.
+
+        Each component must be a complex128 Choi matrix of its block pair's
+        side made from checked values alone; it is marked read-only in place.
+        """
+        rows = tuple(_read_only(row) for row in components)
+        return _unchecked(cls, source=source, target=target, components=rows)
+
 
 def identity_cpu(algebra: AlgebraSpec) -> CPUMap:
     return ad_cpu(algebra.identity())
@@ -517,7 +576,7 @@ def compose_cpu(outer: CPUMap, inner: CPUMap) -> CPUMap:
         row(o, outer_row)
         for o, outer_row in zip(outer.target.block_dims, outer.components)
     )
-    return CPUMap(inner.source, outer.target, comps)
+    return CPUMap._trusted(inner.source, outer.target, comps)
 
 
 def cpu_pushforward_state(s: State, q: CPUMap) -> State:
@@ -530,7 +589,7 @@ def cpu_pushforward_state(s: State, q: CPUMap) -> State:
         for y, n in enumerate(q.target.block_dims):
             acc += dual_apply_choi(q.components[y][x], s.densities[y], m, n)
         out.append((acc + acc.conj().T) / 2)
-    return State(q.source, tuple(out))
+    return State._trusted(q.source, tuple(out))
 
 
 def validate_cpu(q: CPUMap, atol: float = DEFAULT_ATOL) -> ValidationReport:
@@ -581,7 +640,7 @@ def hom_to_cpu(f: StarHom) -> CPUMap:
             w = w.transpose(2, 0, 1).reshape(n * m, c)
             row.append(w @ w.conj().T)
         comps.append(tuple(row))
-    return CPUMap(f.source, f.target, tuple(comps))
+    return CPUMap._trusted(f.source, f.target, tuple(comps))
 
 
 def ad_cpu(u: AlgebraElement) -> CPUMap:
@@ -611,7 +670,8 @@ def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
     src = direct_sum_algebras(f.source, g.source)
     tgt = direct_sum_algebras(f.target, g.target)
     mult = _direct_sum_grid(f.mult, g.mult, lambda y, x: 0)
-    return StarHom(src, tgt, mult, f.conjugators + g.conjugators)
+    conj, defects = f.conjugators + g.conjugators, f._defects + g._defects
+    return StarHom._trusted(src, tgt, mult, conj, defects)
 
 
 def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:
@@ -622,7 +682,7 @@ def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:
     def zero(y: int, x: int) -> np.ndarray:
         side = src.block_dims[x] * tgt.block_dims[y]
         if side not in zeros:
-            zeros[side] = frozen_matrix(np.zeros((side, side)), (side, side), "zero")
+            zeros[side] = np.zeros((side, side), dtype=np.complex128)
         return zeros[side]
 
-    return CPUMap(src, tgt, _direct_sum_grid(q.components, r.components, zero))
+    return CPUMap._trusted(src, tgt, _direct_sum_grid(q.components, r.components, zero))

@@ -146,6 +146,55 @@ def test_gen_mult_matrix_rejects_one_block_wider_than_the_bound():
     assert rng.bit_generator.state == before  # raised before any draw
 
 
+def _reference_columns_summing_to(dims, total):
+    if not dims:
+        return [()] if total == 0 else []
+    head, rest = dims[0], dims[1:]
+    out = []
+    for c in range(total // head + 1):
+        for tail in _reference_columns_summing_to(rest, total - c * head):
+            out.append((c,) + tail)
+    return out
+
+
+def _reference_gen_mult_matrix(rng, source_dims, cfg):
+    """gen_mult_matrix as it was before its column lists were cached."""
+    t = len(source_dims)
+    options_by_side = {
+        m: _reference_columns_summing_to(source_dims, m)
+        for m in range(1, cfg.max_block_dim + 1)
+    }
+    feasible = [m for m, options in options_by_side.items() if options]
+    for _ in range(200):
+        s = int(rng.integers(1, cfg.max_blocks + 1))
+        cols = []
+        for _x in range(s):
+            options = options_by_side[feasible[rng.integers(0, len(feasible))]]
+            cols.append(options[rng.integers(0, len(options))])
+        if all(any(cols[x][y] for x in range(s)) for y in range(t)):
+            return tuple(tuple(cols[x][y] for x in range(s)) for y in range(t))
+    return tuple(tuple(1 if x == y else 0 for x in range(t)) for y in range(t))
+
+
+@pytest.mark.parametrize("max_dim", [GeneratorConfig().max_block_dim, 8])
+def test_gen_mult_matrix_draws_as_the_reference_does(max_dim):
+    # every source algebra of 200 trials, and the target of its first matrix as
+    # a second source; both functions start from copies of one rng
+    cfg = GeneratorConfig(seed=42, trials=200, max_block_dim=max_dim)
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        dims = gen_algebra(rng, cfg).block_dims
+        for _ in range(2):
+            ref = np.random.default_rng()
+            ref.bit_generator.state = rng.bit_generator.state
+            mult = gen_mult_matrix(rng, dims, cfg)
+            assert mult == _reference_gen_mult_matrix(ref, dims, cfg)
+            assert rng.bit_generator.state == ref.bit_generator.state
+            dims = tuple(
+                sum(c * n for c, n in zip(col, dims)) for col in zip(*mult)
+            )
+
+
 def test_gen_star_hom_standard_flag():
     rng = rng_for(CFG, 4)
     alg = gen_algebra(rng, CFG)
@@ -535,6 +584,33 @@ def test_unit_basis_laws_fail_a_mutant_where_the_reference_does(
     assert failing  # the mutant is caught at all
     assert [t for t, d in enumerate(got) if not d <= tol] == failing
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)  # the worst unit's distance
+
+
+def test_unit_columns_match_the_matrix_unit_stacks(monkeypatch):
+    # every algebra the unit-basis laws list over 40 trials at seed 42
+    algebras, unit_columns = [], laws._unit_columns
+
+    def recording(alg):
+        algebras.append(alg)
+        return unit_columns(alg)
+
+    monkeypatch.setattr(laws, "_unit_columns", recording)
+    cfg = GeneratorConfig(seed=42, trials=40)
+    for name, fn in ((n, fn) for n, _, fn in LAWS if n in UNIT_BASIS_REFERENCES):
+        for t in range(cfg.trials):
+            fn(rng_for(cfg, t), cfg)
+    assert len(algebras) == 3 * cfg.trials
+    for alg in algebras:
+        got = list(unit_columns(alg))
+        units = itertools.groupby(alg.matrix_units(), key=lambda u: (u[0], u[2]))
+        want = [
+            (y, j, list(map(np.array, zip(*(e.blocks for *_, e in col)))))
+            for (y, j), col in units
+        ]
+        assert [(y, j) for y, j, _ in got] == [(y, j) for y, j, _ in want]
+        for (_, _, a), (_, _, b) in zip(got, want):
+            assert all(np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b))
+            assert len(a) == len(b) == alg.num_blocks
 
 
 def test_run_laws_evaluates_the_unit_basis_laws_a_column_per_call(monkeypatch):

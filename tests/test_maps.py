@@ -632,6 +632,75 @@ def test_reconstruction_bound_is_at_least_the_all_units_residual(monkeypatch, ki
             assert bound >= _units_residual(g, raw)
 
 
+def _reference_certificate(f: StarHom, stacks, units) -> float:
+    """_certificate as it was when it recomputed u from the conjugators."""
+    sq, k = [], 0.0
+    for y, idx in enumerate(units):
+        images = []
+        for i in range(len(idx)):
+            blocks = [np.zeros((n, n)) for n in f.source.block_dims]
+            blocks[y][i, 0] = 1.0
+            images.append(apply_hom(f, AlgebraElement(f.source, tuple(blocks))).blocks)
+        q = 0.0
+        for st, g in zip(stacks, map(np.array, zip(*images))):
+            d = g[:, None] @ g.conj().transpose(0, 2, 1) - st[idx.T]
+            q = q + (np.abs(d) ** 2).sum(axis=(2, 3))
+            k = np.maximum(k, (np.abs(g) ** 2).sum(axis=(1, 2)).max())
+        sq.append(q.max())
+    r_gens, k = np.sqrt(np.max(sq)), np.sqrt(k)
+    u = np.max([np.linalg.norm(c.conj().T @ c - np.eye(len(c))) for c in f.conjugators])
+    s, m = len(stacks), max(st.shape[1] for st in stacks)
+    unitarity = np.sqrt(s) * (1 + u) * u
+    r = r_gens + unitarity
+    e_r = np.sqrt(s) * (m + 2) * np.finfo(float).eps * k**2
+    return float(unitarity + (3 + 2 * u) * r + r**2 + 2 * e_r * (1 + k) ** 2)
+
+
+def _checking_certificate(monkeypatch) -> list:
+    """Patch _certificate to assert it equals the reference bit for bit."""
+    certificate, seen = maps._certificate, []
+
+    def checked(f, stacks, units):
+        bound = certificate(f, stacks, units)
+        assert float.hex(bound) == float.hex(_reference_certificate(f, stacks, units))
+        seen.append(bound)
+        return bound
+
+    monkeypatch.setattr(maps, "_certificate", checked)
+    return seen
+
+
+@pytest.mark.parametrize("kind", CERTIFICATE_KINDS)
+def test_certificate_reads_u_off_the_recorded_defects(monkeypatch, kind):
+    seen = _checking_certificate(monkeypatch)
+    _certified_draws(monkeypatch, kind)
+    assert seen
+
+
+def test_certificate_on_generated_raws_is_the_recomputed_one(monkeypatch):
+    seen = _checking_certificate(monkeypatch)
+    cfg = GeneratorConfig(seed=202, trials=100, max_block_dim=6)
+    for t in range(cfg.trials):
+        rng = rng_for(cfg, t)
+        hom_from_raw(hom_to_raw(gen_star_hom(rng, gen_algebra(rng, cfg), cfg)))
+    assert len(seen) == cfg.trials
+
+
+def test_hom_to_raw_peaks_at_about_twice_the_raw_matrix():
+    import tracemalloc
+
+    rng = np.random.default_rng(31)
+    f = StarHom(AlgebraSpec((16,)), AlgebraSpec((32,)), ((2,),), (haar_unitary(rng, 32),))
+    tracemalloc.start()
+    try:
+        raw = hom_to_raw(f)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert raw.matrix.nbytes >= 4 * 2**20
+    assert peak <= 2.2 * raw.matrix.nbytes
+
+
 def test_hom_from_raw_rebuilds_only_the_generators(monkeypatch):
     # the ladder's (8) -> (16) hom: 8 generators E_i0 instead of 64 unit images
     rng = np.random.default_rng(241)
