@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from ncstat.algebra import (
     AlgebraElement,
@@ -465,3 +467,96 @@ def test_validate_cpu_runs_eigvalsh_only_where_cholesky_fails(monkeypatch):
     cp = [v for v in validate_cpu(q).violations if v.kind == "cp"]
     assert len(calls) == 1
     assert [v.where for v in cp] == ["component (0,1)"] and abs(cp[0].residual - 1.0) < 1e-12
+
+
+def _reference_psd_violations(named, atol, kinds, floor):
+    """psd_violations before the low-rank certificate: h, shifted Cholesky, eigvalsh."""
+    herm_kind, psd_kind = kinds
+    violations = []
+    above = True
+    for where, m in named:
+        herm = float(np.linalg.norm(m - m.conj().T)) if np.isfinite(m).all() else math.inf
+        if not herm <= atol:
+            violations.append((herm_kind, where, herm))
+        if not math.isfinite(herm):
+            continue
+        h = (m + m.conj().T) / 2
+        n = len(h)
+        if n >= 8:
+            diag = h.ravel("K")[:: n + 1]
+            saved = diag.copy()
+            delta = 4 * (n + 1) * np.finfo(float).eps * (saved.real.sum() + n * atol)
+            if 0 < delta < atol:
+                diag -= floor + delta
+                try:
+                    np.linalg.cholesky(h)
+                    continue
+                except np.linalg.LinAlgError:
+                    diag[:] = saved
+        low = float(np.linalg.eigvalsh(h)[0])
+        above = above and low > floor
+        if low < -atol:
+            violations.append((psd_kind, where, -low))
+    return violations, above
+
+
+def _planted(rng, n, rank, low=None):
+    """n x n Hermitian with `rank` eigenvalues in [0.1, 1], one more equal to low
+    when it is given, and the rest zero."""
+    vals = np.zeros(n)
+    vals[:rank] = rng.uniform(0.1, 1.0, rank)
+    if low is not None:
+        vals[rank] = low
+    u = haar_unitary(rng, n)
+    return (u * vals) @ u.conj().T
+
+
+@pytest.mark.parametrize("n", [64, 128, 256])
+@pytest.mark.parametrize("rank", [1, "budget"])
+@pytest.mark.parametrize("skew", [0.0, 0.9 * ATOL], ids=["hermitian", "skew-within-atol"])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_low_rank_choi_component_is_certified_without_a_factorization(
+    n, rank, skew, order, factorizations
+):
+    rng = np.random.default_rng([31, n])
+    m = _planted(rng, n, n // 16 if rank == "budget" else rank)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    a -= a.conj().T  # anti-Hermitian, scaled so that ||m - m^H|| = skew
+    m = np.asarray(m + skew / 2 * a / np.linalg.norm(a), order=order)
+    assert psd_violations([("m", m)], ATOL, ("herm", "psd"), -ATOL) == ([], True)
+    assert factorizations == []
+    # the faithfulness check (floor atol) never takes the certificate
+    assert psd_violations([("m", m)], ATOL, ("herm", "psd"), ATOL)[1] is False
+    assert [name for name, _ in factorizations] == ["cholesky", "eigvalsh"]
+
+
+@pytest.mark.parametrize("n, rank", [(64, None), (32, 2)], ids=["full-rank", "below-side-64"])
+def test_component_outside_the_certificate_takes_one_cholesky(n, rank, factorizations):
+    rng = np.random.default_rng([37, n])
+    m = _with_least_eigenvalue(rng, n, 0.1) if rank is None else _planted(rng, n, rank)
+    assert psd_violations([("m", m)], ATOL, ("herm", "psd"), -ATOL) == ([], True)
+    assert factorizations == [("cholesky", n)]
+
+
+@settings(
+    max_examples=60,
+    deadline=None,
+    database=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.sampled_from([64, 96, 128]),
+    rank=st.integers(1, 4),
+    low=st.floats(-3 * ATOL, -ATOL / 3),
+    order=st.sampled_from("CF"),
+)
+def test_certificate_matches_the_reference_on_a_planted_negative_eigenvalue(
+    seed, n, rank, low, order
+):
+    m = np.asarray(_planted(np.random.default_rng(seed), n, rank, low), order=order)
+    named = [("component (0,0)", m)]
+    violations, above = psd_violations(named, ATOL, ("choi-hermiticity", "cp"), -ATOL)
+    got = [(v.kind, v.where, v.residual) for v in violations], above
+    assert got == _reference_psd_violations(named, ATOL, ("choi-hermiticity", "cp"), -ATOL)

@@ -566,21 +566,26 @@ def test_construct_memory_grows_with_the_result_only():
     assert peaks[64] / peaks[32] <= 6
 
 
+def _ladder_morphism(side):
+    """The hypothesis along the ladder's hom (k) + (k) -> (4k), k = side/4,
+    multiplicity 2, Haar conjugator; Q's Choi components have side 4k^2."""
+    rng = np.random.default_rng(side)
+    k = side // 4
+    src = AlgebraSpec((k, k))
+    hom = StarHom(src, AlgebraSpec((side,)), ((2,), (2,)), (haar_unitary(rng, side),))
+    cfg = GeneratorConfig(seed=side, max_block_dim=k)
+    xi = gen_state(src, cfg, rng, faithful=True)
+    return build_hypothesis_from_alphas(hom, xi, gen_alpha_family(rng, hom.mult))
+
+
 def test_validate_memory_grows_as_the_choi_components():
-    # validate on the ladder's hom (k) + (k) -> (4k), multiplicity 2, Haar
-    # conjugator: Q's Choi components have side 4k^2, so the peak grows as
-    # side^4, 16x per doubling, and no faster
+    # validate on the ladder's morphism: the peak grows as side^4, 16x per
+    # doubling, and no faster
     import tracemalloc
 
     peaks = {}
     for side in (32, 64):
-        rng = np.random.default_rng(side)
-        k = side // 4
-        src = AlgebraSpec((k, k))
-        hom = StarHom(src, AlgebraSpec((side,)), ((2,), (2,)), (haar_unitary(rng, side),))
-        cfg = GeneratorConfig(seed=side, max_block_dim=k)
-        xi = gen_state(src, cfg, rng, faithful=True)
-        m = build_hypothesis_from_alphas(hom, xi, gen_alpha_family(rng, hom.mult))
+        m = _ladder_morphism(side)
         tracemalloc.start()
         try:
             report = validate_morphism(m)
@@ -589,6 +594,36 @@ def test_validate_memory_grows_as_the_choi_components():
             tracemalloc.stop()
         assert report.ok, report.describe()
     assert peaks[64] / peaks[32] <= 20
+
+
+@pytest.mark.parametrize(
+    "call, guard", [(rectify_morphism, 20), (re_functor, 6)], ids=["rectify", "re_functor"]
+)
+def test_rectify_and_re_functor_memory_hold_their_exponents(call, guard):
+    # on the same morphisms: rectify folds Choi components of side side^2/4
+    # (peak ~ side^4), re_functor reads densities of side side (~ side^2)
+    import tracemalloc
+
+    peaks = {}
+    for side in (32, 64):
+        m = _ladder_morphism(side)
+        tracemalloc.start()
+        try:
+            call(m)
+            peaks[side] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[64] / peaks[32] <= guard
+
+
+def test_validate_factors_no_ladder_choi_component(factorizations):
+    # Q's rank-2 Choi components (side 1024) are certified from a partial
+    # Cholesky; np.linalg.cholesky sees only the densities of the source
+    # (16) + (16) and target (64) states, and eigvalsh nothing
+    m = _ladder_morphism(64)
+    factorizations.clear()
+    assert validate_morphism(m).ok
+    assert factorizations == [("cholesky", 16), ("cholesky", 16), ("cholesky", 64)]
 
 
 @pytest.mark.parametrize("atol", [math.inf, math.nan, -0.5])
