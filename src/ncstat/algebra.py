@@ -86,11 +86,6 @@ class AlgebraSpec:
             raise ShapeError(f"block dimensions must be >= 1, got {dims}")
         object.__setattr__(self, "block_dims", dims)
 
-    @classmethod
-    def _trusted(cls, block_dims: tuple[int, ...]) -> "AlgebraSpec":
-        """The spec of block sides taken from checked specs: no check, no copy."""
-        return _unchecked(cls, block_dims=block_dims)
-
     @property
     def num_blocks(self) -> int:
         return len(self.block_dims)
@@ -483,4 +478,4 @@ def validate_state(s: State, atol: float = DEFAULT_ATOL) -> ValidationReport:
 
 
 def direct_sum_algebras(a: AlgebraSpec, b: AlgebraSpec) -> AlgebraSpec:
-    return AlgebraSpec._trusted(a.block_dims + b.block_dims)
+    return AlgebraSpec(a.block_dims + b.block_dims)

@@ -261,7 +261,7 @@ def tensor_inclusion_morphism(rho_joint: np.ndarray, head_dim: int) -> NCMorphis
     alg_top = AlgebraSpec((side,))
     alg_bot = AlgebraSpec((tail,))
     eye = np.eye(side, dtype=np.complex128)
-    hom = StarHom._trusted(alg_bot, alg_top, ((head_dim,),), (eye,), (0.0,))
+    hom = StarHom._trusted(alg_bot, alg_top, ((head_dim,),), (eye,))
     omega = State(alg_top, (rho_joint,))
     xi = pushforward_state(omega, hom)
     return build_hypothesis_from_alphas(
@@ -287,13 +287,9 @@ class ChainRuleReport:
     re_rhs: tuple[float, float, float]
 
     @property
-    def identity_defects(self) -> tuple[float, float, float]:
-        lhs = (self.re_composite, self.re_inner, self.re_outer)
-        return tuple(abs(re - rhs) for re, rhs in zip(lhs, self.re_rhs))
-
-    @property
     def max_defect(self) -> float:
-        return max(self.chain_defect, *self.identity_defects)
+        lhs = (self.re_composite, self.re_inner, self.re_outer)
+        return max(self.chain_defect, *(abs(a - b) for a, b in zip(lhs, self.re_rhs)))
 
 
 def chain_rule_report(rho_abc: np.ndarray, dims: Sequence[int]) -> ChainRuleReport:

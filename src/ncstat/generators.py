@@ -25,8 +25,6 @@ _MASK64 = (1 << 64) - 1
 # mu / side: 2 FAITHFUL_FLOOR up to side 250, 1 / (2 side) beyond.
 FAITHFUL_FLOOR = 1e-3
 
-_shared: dict | None = None  # one trial's shared draws and rectifications in run_laws
-
 
 @dataclass(frozen=True)
 class GeneratorConfig:
@@ -219,22 +217,6 @@ def gen_alpha_family(
     return AlphaFamily(rows)
 
 
-def _shared_draw(gen):
-    """Share gen's draw at one stream position among the laws of one trial."""
-    @functools.wraps(gen)
-    def draw(cfg, rng, *args, **kwargs):
-        if (store := _shared) is None:  # read once: run_laws may swap it meanwhile
-            return gen(cfg, rng, *args, **kwargs)
-        key = (gen, cfg, args, tuple(kwargs.items()), repr(rng.bit_generator.state))
-        if key not in store:  # a repeat gets the frozen instance, caches and all,
-            store[key] = gen(cfg, rng, *args, **kwargs), rng.bit_generator.state
-        instance, rng.bit_generator.state = store[key]  # and the state it left
-        return instance
-
-    return draw
-
-
-@_shared_draw
 def gen_morphism(
     cfg: GeneratorConfig, rng: np.random.Generator, faithful: bool | None = None
 ) -> NCMorphism:
@@ -252,7 +234,6 @@ def gen_morphism(
     return build_hypothesis_from_alphas(hom, xi, alphas, target_state=omega)
 
 
-@_shared_draw
 def gen_optimal_morphism(cfg: GeneratorConfig, rng: np.random.Generator) -> NCMorphism:
     """Random optimal hypothesis: the target state is the one the CPU map recovers."""
     source = gen_algebra(rng, cfg)
@@ -262,7 +243,6 @@ def gen_optimal_morphism(cfg: GeneratorConfig, rng: np.random.Generator) -> NCMo
     return build_hypothesis_from_alphas(hom, xi, alphas)
 
 
-@_shared_draw
 def gen_composable_pair(
     cfg: GeneratorConfig, rng: np.random.Generator
 ) -> tuple[NCMorphism, NCMorphism]:

@@ -261,7 +261,7 @@ def rectify_pair(g: NCMorphism, f: NCMorphism) -> RectificationResult:
         [_fold_conjugation(c, b.conj().T, False) for c in row]
         for row, b in zip(f.cpu.components, v.blocks)
     ]
-    ad_v = _conjugation(g.hom.target, g.hom.conjugators, g.hom._defects)
+    ad_v = _conjugation(g.hom.target, g.hom.conjugators)
     f_mid = NCMorphism(
         source=rg.morphism.target,
         target=f.target,

@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import entropy as ent
-from . import generators
 from .algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
@@ -125,6 +124,32 @@ class LawReport:
             "ok": self.ok,
             "laws": [r.to_json() for r in self.results],
         }
+
+
+_trial: dict | None = None  # _once's store while run_laws runs one trial
+
+
+def _once(fn, *args, **kwargs):
+    """fn(*args, **kwargs), computed once per trial of run_laws.
+
+    A call is keyed on fn, on its arguments with each Generator replaced by the
+    repr of its state, and on its keyword items; the key keeps the arguments
+    alive.  A repeat returns the first, immutable result and puts each
+    Generator where the first call left it, so later draws are unchanged.
+    Outside a trial every call computes.
+    """
+    if (store := _trial) is None:  # read once: run_laws may swap it meanwhile
+        return fn(*args, **kwargs)
+    gen = np.random.Generator
+    rngs = [a for a in args if isinstance(a, gen)]
+    marks = tuple(repr(a.bit_generator.state) if isinstance(a, gen) else a for a in args)
+    key = (fn, marks, tuple(kwargs.items()))
+    if key not in store:
+        store[key] = fn(*args, **kwargs), [r.bit_generator.state for r in rngs]
+    result, states = store[key]
+    for r, state in zip(rngs, states):
+        r.bit_generator.state = state
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -301,7 +326,7 @@ def _law_pushforward_definitional(rng, cfg) -> TrialOutcome:
 
 
 def _law_cpu_validity(rng, cfg) -> TrialOutcome:
-    m = gen_morphism(cfg, rng, faithful=True)
+    m = _once(gen_morphism, cfg, rng, faithful=True)
     worst = validate_cpu(m.cpu).worst
     a = gen_element(rng, m.cpu.source)
     psd = a @ a.adjoint()
@@ -313,7 +338,7 @@ def _law_cpu_validity(rng, cfg) -> TrialOutcome:
 
 
 def _law_cpu_dual_pairing(rng, cfg) -> TrialOutcome:
-    m = gen_morphism(cfg, rng, faithful=True)
+    m = _once(gen_morphism, cfg, rng, faithful=True)
     s = gen_state(m.cpu.target, cfg, rng, faithful=True)
     a = gen_element(rng, m.cpu.source)
     lhs = s.evaluate(apply_cpu(m.cpu, a))
@@ -322,12 +347,12 @@ def _law_cpu_dual_pairing(rng, cfg) -> TrialOutcome:
 
 
 def _law_morphism_validity(rng, cfg) -> TrialOutcome:
-    m = gen_morphism(cfg, rng)
+    m = _once(gen_morphism, cfg, rng)
     return TrialOutcome(defect=validate_morphism(m).worst)
 
 
 def _law_optimal_vanishing(rng, cfg) -> TrialOutcome:
-    m = gen_optimal_morphism(cfg, rng)
+    m = _once(gen_optimal_morphism, cfg, rng)
     flag, residual = is_optimal(m)
     if not flag:
         return TrialOutcome(defect=residual)
@@ -336,7 +361,7 @@ def _law_optimal_vanishing(rng, cfg) -> TrialOutcome:
 
 
 def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
-    m = gen_morphism(cfg, rng)
+    m = _once(gen_morphism, cfg, rng)
     r = rectify_morphism(m)
     rect = r.morphism
     worst = validate_morphism(rect).worst
@@ -351,23 +376,9 @@ def _law_rectification_invariance(rng, cfg) -> TrialOutcome:
     return TrialOutcome(defect=max(worst, abs(before - after)))
 
 
-def _rectified(inner, outer):
-    """rectify_pair(inner, outer), computed once per trial's pair in run_laws.
-
-    The result lives in the trial's store (generators._shared) with the pair,
-    which keeps the ids in its key valid; with no store every call computes.
-    """
-    if (store := generators._shared) is None:
-        return rectify_pair(inner, outer)
-    key = (rectify_pair, id(inner), id(outer))
-    if key not in store:
-        store[key] = rectify_pair(inner, outer), inner, outer
-    return store[key][0]
-
-
 def _law_pair_rectification(rng, cfg) -> TrialOutcome:
-    inner, outer = gen_composable_pair(cfg, rng)
-    r = _rectified(inner, outer)
+    inner, outer = _once(gen_composable_pair, cfg, rng)
+    r = _once(rectify_pair, inner, outer)
     g, f = r.morphisms
     if not (g.hom.is_standard() and f.hom.is_standard()):
         return TrialOutcome(defect=1.0)
@@ -383,14 +394,14 @@ def _law_pair_rectification(rng, cfg) -> TrialOutcome:
 
 
 def _law_composition_closure(rng, cfg) -> TrialOutcome:
-    inner, outer = gen_composable_pair(cfg, rng)
+    inner, outer = _once(gen_composable_pair, cfg, rng)
     comp = compose_morphisms(inner, outer)
     return TrialOutcome(defect=validate_morphism(comp).worst)
 
 
 def _law_composite_state_expansion(rng, cfg) -> TrialOutcome:
-    inner, outer = gen_composable_pair(cfg, rng)
-    r = _rectified(inner, outer)
+    inner, outer = _once(gen_composable_pair, cfg, rng)
+    r = _once(rectify_pair, inner, outer)
     g, f = r.morphisms
     alphas = extract_alphas(f)
     back = compose_morphisms(g, f).pushback
@@ -418,7 +429,7 @@ def _law_extract_build_roundtrip(rng, cfg) -> TrialOutcome:
 
 
 def _law_disintegration_success(rng, cfg) -> TrialOutcome:
-    m = gen_optimal_morphism(cfg, rng)
+    m = _once(gen_optimal_morphism, cfg, rng)
     result = construct_optimal_hypothesis(m.hom, m.target.state)
     if isinstance(result, NoDisintegration):
         return TrialOutcome(defect=1.0)
@@ -449,7 +460,7 @@ def _law_infinity_coverage(rng, cfg) -> TrialOutcome:
 
 
 def _law_functoriality(rng, cfg) -> TrialOutcome:
-    inner, outer = gen_composable_pair(cfg, rng)
+    inner, outer = _once(gen_composable_pair, cfg, rng)
     defect = ent.functoriality_defect(inner, outer)
     if isinstance(defect, ent.InfiniteRegimeReport):
         return TrialOutcome(defect=1.0, infinite=True)
@@ -457,15 +468,15 @@ def _law_functoriality(rng, cfg) -> TrialOutcome:
 
 
 def _law_re_expansions(rng, cfg) -> TrialOutcome:
-    inner, outer = gen_composable_pair(cfg, rng)
-    r = _rectified(inner, outer)
+    inner, outer = _once(gen_composable_pair, cfg, rng)
+    r = _once(rectify_pair, inner, outer)
     check = ent.re_expansions(r.morphisms[0], r.morphisms[1])
     return TrialOutcome(defect=max(check.defects))
 
 
 def _law_affinity(rng, cfg) -> TrialOutcome:
-    m1 = gen_morphism(cfg, rng, faithful=True)
-    m2 = gen_morphism(cfg, rng, faithful=True)
+    m1 = _once(gen_morphism, cfg, rng, faithful=True)
+    m2 = _once(gen_morphism, cfg, rng, faithful=True)
     r1 = ent.re_functor(m1)
     r2 = ent.re_functor(m2)
     worst = 0.0
@@ -538,18 +549,19 @@ LAWS: tuple[tuple[str, float, object], ...] = (
 def run_laws(cfg: GeneratorConfig) -> LawReport:
     """Run every law over cfg.trials derived streams and aggregate the defects.
 
-    Trials run in turn; within one, laws share composite draws (_shared_draw)
-    and the shared pair's rectification (_rectified) through one store.
+    Trials run in turn; within one, the laws' composite draws and the shared
+    pair's rectification go through _once and its store, _trial.
     The infinity-coverage law additionally fails when faithful_only is off but
     no infinite instance showed up across all its trials.
     """
+    global _trial
     table, outcomes = LAWS, []  # outcomes[trial][k] is law k's trial outcome
     try:
         for trial in range(cfg.trials):
-            generators._shared = {}
+            _trial = {}
             outcomes.append([fn(rng_for(cfg, trial), cfg) for _, _, fn in table])
     finally:
-        generators._shared = None
+        _trial = None
     results = []
     for k, (name, tol, _) in enumerate(table):
         failures = []

@@ -56,7 +56,6 @@ class StarHom:
     segments[x][y] is the slice of rows (and columns) of target block x that
     holds the mult[y][x] copies of source block y; it is empty where the
     multiplicity vanishes, and the segments of a block partition [0, m_x).
-    _defects[x] is the unitarity defect ||U_x^H U_x - 1|| the check measured.
     """
 
     source: AlgebraSpec
@@ -64,7 +63,6 @@ class StarHom:
     mult: tuple[tuple[int, ...], ...]
     conjugators: tuple[np.ndarray, ...]
     segments: tuple[tuple[slice, ...], ...] = field(init=False, repr=False)
-    _defects: tuple[float, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
         t, s = self.source.num_blocks, self.target.num_blocks
@@ -82,29 +80,26 @@ class StarHom:
                 )
         if len(self.conjugators) != s:
             raise ShapeError(f"expected {s} conjugators, got {len(self.conjugators)}")
-        conj, defects = [], []
+        conj = []
         for x, (u, m) in enumerate(zip(self.conjugators, self.target.block_dims)):
             u = frozen_matrix(u, (m, m), f"conjugator {x}")
-            defect = np.linalg.norm(u.conj().T @ u - np.eye(m))
+            defect = _unitarity_defect(u)
             if not defect <= UNITARY_ATOL:
                 raise ShapeError(
                     f"conjugator {x} is not unitary (defect {defect:.3e})"
                 )
             conj.append(u)
-            defects.append(defect)
         object.__setattr__(self, "mult", mult)
         object.__setattr__(self, "conjugators", tuple(conj))
         object.__setattr__(self, "segments", segments)
-        object.__setattr__(self, "_defects", tuple(defects))
 
     @classmethod
-    def _trusted(cls, source, target, mult, conjugators, defects) -> "StarHom":
+    def _trusted(cls, source, target, mult, conjugators) -> "StarHom":
         """A StarHom built from checked values: no check, no copy.
 
         mult is a tuple of int tuples that fills every target block exactly;
         each conjugator is a complex128 unitary of a checked hom, or an exact
-        identity, and is marked read-only in place; defects are their recorded
-        unitarity defects, 0.0 for an identity.
+        identity, and is marked read-only in place.
         """
         return _unchecked(
             cls,
@@ -113,7 +108,6 @@ class StarHom:
             mult=mult,
             conjugators=_read_only(conjugators),
             segments=_segments(mult, source, target),
-            _defects=defects,
         )
 
     def is_standard(self) -> bool:
@@ -122,6 +116,11 @@ class StarHom:
             np.linalg.norm(u - np.eye(u.shape[0])) <= UNITARY_ATOL
             for u in self.conjugators
         )
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """The unitarity defect ||U^H U - 1|| (Frobenius) of a square U."""
+    return np.linalg.norm(u.conj().T @ u - np.eye(len(u)))
 
 
 def _segments(mult, source: AlgebraSpec, target: AlgebraSpec) -> tuple:
@@ -163,21 +162,20 @@ def _identities(algebra: AlgebraSpec) -> tuple[np.ndarray, ...]:
     return tuple(np.eye(d, dtype=np.complex128) for d in algebra.block_dims)
 
 
-def _conjugation(algebra: AlgebraSpec, conjugators, defects) -> StarHom:
-    """Ad of one checked unitary per block, with its recorded defect."""
+def _conjugation(algebra: AlgebraSpec, conjugators) -> StarHom:
+    """Ad of one checked unitary per block."""
     s = algebra.num_blocks
     mult = tuple(tuple(1 if x == y else 0 for x in range(s)) for y in range(s))
-    return StarHom._trusted(algebra, algebra, mult, conjugators, defects)
+    return StarHom._trusted(algebra, algebra, mult, conjugators)
 
 
 def identity_hom(algebra: AlgebraSpec) -> StarHom:
-    return _conjugation(algebra, _identities(algebra), (0.0,) * algebra.num_blocks)
+    return _conjugation(algebra, _identities(algebra))
 
 
 def strip_conjugators(f: StarHom) -> StarHom:
     """The standard-form homomorphism with the same multiplicities."""
-    eyes, zeros = _identities(f.target), (0.0,) * f.target.num_blocks
-    return StarHom._trusted(f.source, f.target, f.mult, eyes, zeros)
+    return StarHom._trusted(f.source, f.target, f.mult, _identities(f.target))
 
 
 def compose_homs(outer: StarHom, inner: StarHom) -> StarHom:
@@ -300,8 +298,8 @@ def _certificate(
     every ||F(E_ij) - P_ij||, from the generators G_i = F(E_i0); NaN stays NaN.
 
     F is the action of f on s target blocks of side <= m.  With r~ the worst
-    ||P_ij - G_i G_j^H|| and u the worst ||U^H U - 1|| (as f's check recorded
-    it), every unit is off by
+    ||P_ij - G_i G_j^H|| and u the worst ||U^H U - 1|| over f's conjugators,
+    every unit is off by
     r = r~ + sqrt(s) (1 + u) u, the last term the distance of G_i G_j^H from
     F(E_ij).  With P = F + D, each pair defect ||P_ij P_kl - delta_jk P_il|| is
     then at most sqrt(s) (1 + u) u + (3 + 2u) r + r^2.  Rounding: a product of
@@ -326,7 +324,7 @@ def _certificate(
             k = np.maximum(k, (np.abs(g) ** 2).sum(axis=(1, 2)).max())
         sq.append(q.max())
     r_gens, k = np.sqrt(np.max(sq)), np.sqrt(k)
-    u = np.max(f._defects)
+    u = np.max([_unitarity_defect(c) for c in f.conjugators])
     s, m = len(stacks), max(st.shape[1] for st in stacks)
     unitarity = np.sqrt(s) * (1 + u) * u
     r = r_gens + unitarity
@@ -670,8 +668,7 @@ def direct_sum_homs(f: StarHom, g: StarHom) -> StarHom:
     src = direct_sum_algebras(f.source, g.source)
     tgt = direct_sum_algebras(f.target, g.target)
     mult = _direct_sum_grid(f.mult, g.mult, lambda y, x: 0)
-    conj, defects = f.conjugators + g.conjugators, f._defects + g._defects
-    return StarHom._trusted(src, tgt, mult, conj, defects)
+    return StarHom._trusted(src, tgt, mult, f.conjugators + g.conjugators)
 
 
 def direct_sum_cpus(q: CPUMap, r: CPUMap) -> CPUMap:

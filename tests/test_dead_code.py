@@ -156,12 +156,13 @@ def _defaulted(fn: ast.FunctionDef, is_method: bool) -> list[tuple[int | None, s
     return out
 
 
-def _passed(call: ast.Call) -> tuple[int, set[str], bool]:
-    """Positional count, keyword names, and whether a splat may pass anything."""
+def _passed(call: ast.Call, skip: int = 0) -> tuple[int, set[str], bool]:
+    """Positional count past the first skip, keyword names, and whether a splat
+    may pass anything."""
     splat = any(isinstance(a, ast.Starred) for a in call.args) or any(
         k.arg is None for k in call.keywords
     )
-    return len(call.args), {k.arg for k in call.keywords if k.arg}, splat
+    return len(call.args) - skip, {k.arg for k in call.keywords if k.arg}, splat
 
 
 def _definitions(tree: ast.Module):
@@ -184,8 +185,10 @@ def _definitions(tree: ast.Module):
 def test_every_defaulted_parameter_is_passed():
     """A defaulted parameter that no call in the package passes is a dead knob.
 
-    Calls are matched to definitions by name (``f(...)`` or ``obj.f(...)``);
-    the console-script entry point ``cli.main(argv)`` is the one exemption.
+    Calls are matched to definitions by name (``f(...)`` or ``obj.f(...)``),
+    and ``laws._once(f, *args, **kwargs)`` counts as the call ``f(*args,
+    **kwargs)``; the console-script entry point ``cli.main(argv)`` is the one
+    exemption.
     """
     trees = {p.stem: _tree(p) for p in MODULES}
     calls: dict[str, list[tuple[int, set[str], bool]]] = {}
@@ -197,6 +200,8 @@ def test_every_defaulted_parameter_is_passed():
             name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
             if name:
                 calls.setdefault(name, []).append(_passed(node))
+            if name == "_once" and node.args and isinstance(node.args[0], ast.Name):
+                calls.setdefault(node.args[0].id, []).append(_passed(node, skip=1))
     exempt = {"cli.main(argv)"}
     dead = []
     for stem, tree in trees.items():

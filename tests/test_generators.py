@@ -7,7 +7,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from ncstat import generators, laws, maps
+from ncstat import laws, maps
 from ncstat.algebra import (
     DEFAULT_CUTOFF,
     AlgebraSpec,
@@ -396,14 +396,14 @@ def test_run_laws_still_catches_a_nondeterministic_gen_state(monkeypatch):
 
 def test_sharing_is_off_after_a_law_raises(monkeypatch):
     def raising(rng, cfg):
-        gen_composable_pair(cfg, rng)
+        laws._once(gen_composable_pair, cfg, rng)
         raise RuntimeError("law broke")
 
     monkeypatch.setattr(laws, "LAWS", (LAWS[0], ("raising", 0.5, raising)))
     with pytest.raises(RuntimeError, match="law broke"):
         run_laws(GeneratorConfig(seed=3, trials=2))
-    assert generators._shared is None
-    a, b = (gen_composable_pair(CFG, rng_for(CFG, 1)) for _ in range(2))
+    assert laws._trial is None
+    a, b = (laws._once(gen_composable_pair, CFG, rng_for(CFG, 1)) for _ in range(2))
     assert a[0] is not b[0] and a[1] is not b[1]
 
 
@@ -412,11 +412,11 @@ def test_run_laws_releases_each_trials_instances_by_the_next(monkeypatch):
 
     def probe(rng, cfg):  # runs first: the last trial's pair must be gone
         released.append([ref() is None for ref in refs])
-        refs.append(weakref.ref(gen_composable_pair(cfg, rng)[0]))
+        refs.append(weakref.ref(laws._once(gen_composable_pair, cfg, rng)[0]))
         return laws.TrialOutcome()
 
     def reuse(rng, cfg):  # runs last: finds the pair the probe drew
-        shared.append(gen_composable_pair(cfg, rng)[0] is refs[-1]())
+        shared.append(laws._once(gen_composable_pair, cfg, rng)[0] is refs[-1]())
         return laws.TrialOutcome()
 
     table = (("probe", 0.5, probe), *LAWS, ("reuse", 0.5, reuse))
@@ -424,7 +424,83 @@ def test_run_laws_releases_each_trials_instances_by_the_next(monkeypatch):
     assert run_laws(GeneratorConfig(seed=3, trials=4)).ok
     assert released == [[], [True], [True, True], [True, True, True]]
     assert shared == [True] * 4
+    assert laws._trial is None
     assert refs[-1]() is None  # the last trial's pair goes when run_laws returns
+
+
+COMPOSITE_DRAWS = (
+    (gen_morphism, {"faithful": True}),
+    (gen_optimal_morphism, {}),
+    (gen_composable_pair, {}),
+)
+COMPOSITE_IDS = [gen.__name__ for gen, _ in COMPOSITE_DRAWS]
+
+
+@pytest.mark.parametrize("gen, kwargs", COMPOSITE_DRAWS, ids=COMPOSITE_IDS)
+def test_once_outside_run_laws_draws_afresh(gen, kwargs):
+    a, b = (laws._once(gen, CFG, rng_for(CFG, 0), **kwargs) for _ in range(2))
+    assert laws._trial is None and a is not b
+
+
+ONE_TRIAL = GeneratorConfig(seed=3, trials=1)
+
+
+def _in_one_trial(monkeypatch, law):
+    """What law(rng, cfg) returns when run_laws runs it alone over ONE_TRIAL."""
+    seen = []
+
+    def probe(rng, cfg):
+        seen.append(law(rng, cfg))
+        return laws.TrialOutcome()
+
+    monkeypatch.setattr(laws, "LAWS", (("probe", 0.5, probe),))
+    assert run_laws(ONE_TRIAL).ok
+    return seen[0]
+
+
+@pytest.mark.parametrize("gen, kwargs", COMPOSITE_DRAWS, ids=COMPOSITE_IDS)
+def test_once_inside_a_trial_repeats_return_the_first_result(monkeypatch, gen, kwargs):
+    def law(rng, cfg):
+        first = laws._once(gen, cfg, rng, **kwargs)
+        again = laws._once(gen, cfg, rng_for(cfg, 0), **kwargs)  # the same position
+        other = laws._once(gen, cfg, rng, **kwargs)  # a later position: fresh
+        return first, again, other
+
+    first, again, other = _in_one_trial(monkeypatch, law)
+    assert again is first and other is not first
+
+
+@pytest.mark.parametrize("gen, kwargs", COMPOSITE_DRAWS, ids=COMPOSITE_IDS)
+def test_once_leaves_the_stream_where_an_unshared_draw_does(monkeypatch, gen, kwargs):
+    def law(rng, cfg):
+        laws._once(gen, cfg, rng, **kwargs)
+        repeat = rng_for(cfg, 0)
+        laws._once(gen, cfg, repeat, **kwargs)  # a repeat: no draw of its own
+        return repeat.standard_normal(4)
+
+    fresh = rng_for(ONE_TRIAL, 0)
+    gen(ONE_TRIAL, fresh, **kwargs)
+    assert np.array_equal(_in_one_trial(monkeypatch, law), fresh.standard_normal(4))
+
+
+def test_once_releases_its_store_at_the_end_of_each_trial(monkeypatch):
+    stores = []
+
+    def probe(rng, cfg):
+        laws._once(gen_morphism, cfg, rng)
+        stores.append(laws._trial)
+        return laws.TrialOutcome()
+
+    monkeypatch.setattr(laws, "LAWS", (("probe", 0.5, probe),))
+    assert run_laws(GeneratorConfig(seed=3, trials=3)).ok
+    assert laws._trial is None
+    assert len({id(store) for store in stores}) == 3
+    assert all(len(store) == 1 for store in stores)
+
+
+def test_composite_generators_are_plain_functions():
+    for gen in (gen_morphism, gen_optimal_morphism, gen_composable_pair):
+        assert not hasattr(gen, "__wrapped__")
 
 
 PAIR_LAWS = ("pair-rectification", "composite-state-expansion", "re-expansion-identities")
@@ -465,10 +541,11 @@ def test_rectification_sharing_is_off_after_a_law_raises(monkeypatch):
     monkeypatch.setattr(laws, "LAWS", (("raising", 0.5, raising),))
     with pytest.raises(RuntimeError, match="law broke"):
         run_laws(GeneratorConfig(seed=3, trials=2))
-    assert generators._shared is None
+    assert laws._trial is None
     made = _count_rectifications(monkeypatch)
+    inner, outer = gen_composable_pair(CFG, rng_for(CFG, 0))
     for _ in range(2):
-        pair_rectification(rng_for(CFG, 0), CFG)
+        laws._once(laws.rectify_pair, inner, outer)
     assert len(made) == 2 and made[0] is not made[1]
 
 

@@ -633,7 +633,7 @@ def test_reconstruction_bound_is_at_least_the_all_units_residual(monkeypatch, ki
 
 
 def _reference_certificate(f: StarHom, stacks, units) -> float:
-    """_certificate as it was when it recomputed u from the conjugators."""
+    """_certificate written out per matrix unit, u recomputed from the conjugators."""
     sq, k = [], 0.0
     for y, idx in enumerate(units):
         images = []

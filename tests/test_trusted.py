@@ -3,7 +3,7 @@
 Every object built through a ``_trusted`` constructor is rebuilt through the
 public constructor from the same fields, and the two must agree field for
 field: equal arrays of the same dtype, read-only on both sides, the same
-multiplicities, segments and recorded unitarity defects.
+multiplicities and segments.
 """
 
 import sys
@@ -21,7 +21,6 @@ from ncstat.laws import run_laws
 from ncstat.maps import CPUMap, StarHom
 
 SITES = {
-    AlgebraSpec: {"direct_sum_algebras"},
     State: {
         "cpu_pushforward_state",
         "pushforward_state",
@@ -56,10 +55,7 @@ def _same_arrays(trusted, public):
 
 
 def _same_as_public(obj):
-    if isinstance(obj, AlgebraSpec):
-        public = AlgebraSpec(obj.block_dims)
-        assert public == obj and all(type(d) is int for d in obj.block_dims)
-    elif isinstance(obj, State):
+    if isinstance(obj, State):
         public = State(obj.algebra, obj.densities)
         assert public.algebra == obj.algebra and obj._supports == {}
         _same_arrays(obj.densities, public.densities)
@@ -67,7 +63,6 @@ def _same_as_public(obj):
         public = StarHom(obj.source, obj.target, obj.mult, obj.conjugators)
         assert (public.source, public.target) == (obj.source, obj.target)
         assert public.mult == obj.mult and public.segments == obj.segments
-        assert public._defects == obj._defects
         _same_arrays(obj.conjugators, public.conjugators)
     else:
         public = CPUMap(obj.source, obj.target, obj.components)
@@ -117,15 +112,6 @@ def test_run_laws_checks_each_hom_and_no_cpu_map_again(monkeypatch):
     assert run_laws(GeneratorConfig(seed=42, trials=10)).ok
     assert calls["StarHom"] <= 280  # 400 when every hom was checked
     assert calls["CPUMap"] == 0  # 400 when every map was checked
-
-
-def test_public_constructor_records_the_defects_it_measured():
-    rng = np.random.default_rng(5)
-    z = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
-    u = np.linalg.qr(z)[0]
-    f = StarHom(AlgebraSpec((1, 2)), AlgebraSpec((3,)), ((1,), (1,)), (u,))
-    c = f.conjugators[0]
-    assert f._defects == (np.linalg.norm(c.conj().T @ c - np.eye(3)),)
 
 
 def test_convex_sum_keeps_complex_densities_for_any_real_weight():
