@@ -400,15 +400,15 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     return float(np.linalg.norm(m - m.conj().T))
 
 
-def _low_rank_certificate(m: np.ndarray, floor: float, atol: float) -> bool:
-    """Whether h - (floor + delta) 1 > 0, h = (m + m^H)/2, is shown without h:
-    up to n/16 pivoted Cholesky steps give L, then the README's rounding bound
-    on ||m - L L^H||_F.  At ranks 1 to n/16 it costs 1.3-1.8x forming h and its
-    Cholesky factor at side 32, 0.5-0.9x at side 64 and 0.2-0.4x at side 256."""
+def _low_rank_certificate(m: np.ndarray, shift: float) -> bool:
+    """Whether h - shift 1 > 0, h = (m + m^H)/2, shift = floor + delta, is shown
+    without h: up to n/16 pivoted Cholesky steps give L, then the README's
+    rounding bound on ||m - L L^H||_F.  At ranks 1 to n/16 it costs 1.3-1.8x
+    forming h and its Cholesky factor at side 32, 0.5-0.9x at side 64 and 0.2-0.4x at side 256."""
     n, eps = len(m), np.finfo(float).eps
     m = m.T if m.flags.f_contiguous else m  # h(m^T) = conj(h(m)): same spectrum
     d = m.diagonal().real.copy()  # the diagonal of h - L L^H
-    bound = -floor - 4 * (n + 1) * eps * (d.sum() + n * atol)
+    bound = -shift
     l = np.zeros((n, 0), dtype=np.complex128)
     while 0 < bound <= n * d[p := d.argmax()] and l.shape[1] < n // 16:
         col = ((m[:, p] + m[p].conj()) / 2 - l @ l[p].conj()) / math.sqrt(d[p])
@@ -436,24 +436,22 @@ def psd_violations(
             violations.append(Violation(herm_kind, where, herm))
         if not math.isfinite(herm):
             continue
-        if floor < 0 and len(m) >= 64 and _low_rank_certificate(m, floor, atol):
-            continue  # from side 64 cheaper than the Cholesky below on low rank
-        h = (m + m.conj().T) / 2
-        n = len(h)
+        n = len(m)
         # from side 8 Cholesky is cheaper than eigvalsh; h - (floor + delta) 1
         # factors only if h > floor 1, delta bounding its error (Higham, Thm 10.3)
         if n >= 8:
-            diag = h.ravel("K")[:: n + 1]  # a view: h is contiguous in some order
-            saved = diag.copy()
-            delta = 4 * (n + 1) * np.finfo(float).eps * (saved.real.sum() + n * atol)
+            delta = 4 * (n + 1) * np.finfo(float).eps * (m.diagonal().real.sum() + n * atol)
+            if floor < 0 and n >= 64 and _low_rank_certificate(m, floor + delta):
+                continue  # from side 64 cheaper than the Cholesky below on low rank
             if 0 < delta < atol:
-                diag -= floor + delta
+                h = (m + m.conj().T) / 2
+                h.flat[:: n + 1] -= floor + delta
                 try:
                     np.linalg.cholesky(h)
                     continue
                 except np.linalg.LinAlgError:
-                    diag[:] = saved  # bit for bit: eigvalsh sees h as built
-        low = float(np.linalg.eigvalsh(h)[0])
+                    pass
+        low = float(np.linalg.eigvalsh((m + m.conj().T) / 2)[0])
         above = above and low > floor
         if low < -atol:
             violations.append(Violation(psd_kind, where, -low))

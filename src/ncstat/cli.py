@@ -8,13 +8,11 @@ missing file, malformed JSON, non-finite or non-numeric entries, a side,
 multiplicity or index that is not an integer, an unclassifiable document, a
 document of the wrong kind, mismatched algebras, chain-rule --dims that are
 not three positive factors of the density's side, a chain-rule density that
-is not a state) or a tolerance (--atol, --cutoff or NCSTAT_TOL) that is not
-a finite number >= 0 prints one ``ncstat: error: ...`` line to stderr and
-exits 2, the code argparse uses for usage errors; ``validate`` reports a
-file it cannot load as ``invalid: ...`` with exit 1 instead.  NCSTAT_TOL
-overrides the default tolerance for commands that take one; an explicit
---atol flag wins over the environment.  Each command imports only the
-modules it runs.
+is not a state) or a tolerance (--atol or --cutoff) that is not a finite
+number >= 0 prints one ``ncstat: error: ...`` line to stderr and exits 2,
+the code argparse uses for usage errors; ``validate`` reports a file it
+cannot load as ``invalid: ...`` with exit 1 instead.  Each command imports
+only the modules it runs.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 
@@ -47,17 +44,6 @@ from .serialize import (
     read_json,
     write_json,
 )
-
-
-def _env_atol() -> float:
-    raw = os.environ.get("NCSTAT_TOL")
-    if raw is None:
-        return DEFAULT_ATOL
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ValueError(f"NCSTAT_TOL is not a number: {raw!r}") from None
-    return check_tolerance("NCSTAT_TOL", value)
 
 
 def _load(path: str, kind: type, what: str):
@@ -214,11 +200,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="finite-dimensional non-commutative probability toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    atol = _env_atol()
 
     p = sub.add_parser("validate", help="validate a state, CPU map, or morphism")
     p.add_argument("file")
-    p.add_argument("--atol", type=float, default=atol)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p.set_defaults(fn=_cmd_validate)
 
     p = sub.add_parser("rel-entropy", help="relative entropy between two states")
@@ -248,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("hom")
     p.add_argument("state")
-    p.add_argument("--atol", type=float, default=atol)
+    p.add_argument("--atol", type=float, default=DEFAULT_ATOL)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=_cmd_disintegrate)
 

@@ -547,16 +547,18 @@ def test_component_outside_the_certificate_takes_one_cholesky(n, rank, factoriza
 )
 @given(
     seed=st.integers(0, 2**32 - 1),
-    n=st.sampled_from([64, 96, 128]),
+    n=st.sampled_from([8, 16, 32, 64, 96, 128]),
     rank=st.integers(1, 4),
     low=st.floats(-3 * ATOL, -ATOL / 3),
     order=st.sampled_from("CF"),
+    floor=st.sampled_from([-ATOL, ATOL]),
 )
-def test_certificate_matches_the_reference_on_a_planted_negative_eigenvalue(
-    seed, n, rank, low, order
+def test_psd_violations_match_the_reference_on_a_planted_negative_eigenvalue(
+    seed, n, rank, low, order, floor
 ):
+    # every side takes the shifted Cholesky; from 64 at floor -atol the certificate runs first
     m = np.asarray(_planted(np.random.default_rng(seed), n, rank, low), order=order)
     named = [("component (0,0)", m)]
-    violations, above = psd_violations(named, ATOL, ("choi-hermiticity", "cp"), -ATOL)
+    violations, above = psd_violations(named, ATOL, ("choi-hermiticity", "cp"), floor)
     got = [(v.kind, v.where, v.residual) for v in violations], above
-    assert got == _reference_psd_violations(named, ATOL, ("choi-hermiticity", "cp"), -ATOL)
+    assert got == _reference_psd_violations(named, ATOL, ("choi-hermiticity", "cp"), floor)

@@ -350,21 +350,8 @@ def test_check_command(tmp_path, capsys):
     assert "all laws pass" in capsys.readouterr().out
 
 
-def test_env_tolerance_override(workdir, monkeypatch, capsys):
-    monkeypatch.setenv("NCSTAT_TOL", "1e3")
-    # with an absurdly loose tolerance even a defective state validates
-    bad = state_to_json(State(AlgebraSpec((2,)), (np.eye(2),)))
-    p = workdir["dir"] + "/loose.json"
-    write_json(p, bad)
-    assert main(["validate", p]) == 0
-    capsys.readouterr()
-    monkeypatch.setenv("NCSTAT_TOL", "not-a-number")
-    assert main(["validate", p]) == 2
-    assert "NCSTAT_TOL is not a number" in _one_error_line(capsys)
-
-
 @pytest.mark.parametrize("value", ["nan", "inf", "-0.5"])
-def test_tolerance_must_be_finite_and_nonnegative(workdir, monkeypatch, capsys, value):
+def test_tolerance_must_be_finite_and_nonnegative(workdir, capsys, value):
     # a state with eigenvalue -0.5, which a NaN or infinite atol would pass
     bad = state_to_json(State(AlgebraSpec((2,)), (np.diag([1.5, -0.5]),)))
     p = workdir["dir"] + "/negative.json"
@@ -379,6 +366,3 @@ def test_tolerance_must_be_finite_and_nonnegative(workdir, monkeypatch, capsys, 
     ]:
         assert main(argv) == 2
         assert f"{flag} must be finite and >= 0" in _one_error_line(capsys)
-    monkeypatch.setenv("NCSTAT_TOL", value)
-    assert main(["validate", p]) == 2
-    assert "NCSTAT_TOL must be finite and >= 0" in _one_error_line(capsys)

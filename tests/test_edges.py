@@ -5,6 +5,7 @@ the exit code it must give and a line of output it must print.
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -26,7 +27,23 @@ def test_corpus_files_are_small_and_each_is_replayed():
 @pytest.mark.parametrize("entry", MANIFEST, ids=lambda entry: entry["name"])
 def test_edge_replays_with_its_exit_code(entry, monkeypatch, capsys):
     monkeypatch.chdir(EDGES)
-    monkeypatch.delenv("NCSTAT_TOL", raising=False)
     assert cli.main(entry["argv"]) == entry["exit"]
     out, err = capsys.readouterr()
     assert entry["output"] in out + err
+
+
+class _LooseEnvironment(dict):
+    """An environment in which every variable, set or not, reads 1e3."""
+
+    def get(self, key, default=None):
+        return "1e3"
+
+    def __getitem__(self, key):
+        return "1e3"
+
+
+def test_a_loose_environment_does_not_loosen_a_verdict(monkeypatch, capsys):
+    monkeypatch.chdir(EDGES)
+    monkeypatch.setattr(os, "environ", _LooseEnvironment(os.environ))
+    assert cli.main(["validate", "non-psd-state.json"]) == 1
+    assert "positivity at block 0: residual 2.000e-01" in capsys.readouterr().out
