@@ -109,12 +109,19 @@ class AlgebraSpec:
         Iteration order matches the column-major vectorization used by
         ``RawLinearMap``: blocks in order, columns outer, rows inner.
         """
-        for b, d in enumerate(self.block_dims):
-            for j in range(d):
-                for i in range(d):
-                    blocks = [np.zeros((k, k)) for k in self.block_dims]
-                    blocks[b][i, j] = 1.0
-                    yield b, i, j, AlgebraElement(self, tuple(blocks))
+        for b, j, stacks in self._unit_columns():
+            for i in range(self.block_dims[b]):
+                yield b, i, j, AlgebraElement(self, tuple(st[i] for st in stacks))
+
+    def _unit_columns(self) -> Iterator[tuple[int, int, list[np.ndarray]]]:
+        """(y, j, stacks) per column j of block y, in the order of matrix_units(),
+        one at a time; stacks[b] stacks block b of E_0j, ..., E_{n_y - 1, j}."""
+        dims = self.block_dims
+        for y, n in enumerate(dims):
+            for j in range(n):
+                stacks = [np.zeros((n, d, d), dtype=np.complex128) for d in dims]
+                stacks[y][np.arange(n), np.arange(n), j] = 1.0  # stacks[y][i] = E_ij
+                yield y, j, stacks
 
 
 @dataclass(frozen=True, eq=False)
@@ -397,7 +404,8 @@ def _hermiticity_defect(m: np.ndarray) -> float:
     """norm(m - m^H), or inf on a NaN or inf entry, where m - m^H would warn."""
     if np.count_nonzero(np.isfinite(m)) < m.size:
         return math.inf
-    return float(np.linalg.norm(m - m.conj().T))
+    d = np.conjugate(m.T, order="C")  # C order, as a fresh m - m^H; d then holds it
+    return float(np.linalg.norm(np.subtract(m, d, out=d)))
 
 
 def _low_rank_certificate(m: np.ndarray, shift: float) -> bool:
@@ -414,7 +422,8 @@ def _low_rank_certificate(m: np.ndarray, shift: float) -> bool:
         col = ((m[:, p] + m[p].conj()) / 2 - l @ l[p].conj()) / math.sqrt(d[p])
         l = np.column_stack((l, col))
         d -= col.real**2 + col.imag**2
-    s = float(np.linalg.norm(m - l @ l.conj().T))
+    r = l @ l.conj().T
+    s = float(np.linalg.norm(np.subtract(m, r, out=r)))
     return s + 4 * (l.shape[1] + 2) * eps * np.vdot(l, l).real + n * n * eps * s < bound
 
 

@@ -53,6 +53,7 @@ from .hypotheses import (
     validate_morphism,
 )
 from .maps import (
+    _hom_image,
     apply_cpu,
     apply_hom,
     compose_homs,
@@ -252,29 +253,6 @@ def _law_hom_axioms(rng, cfg) -> TrialOutcome:
     return TrialOutcome(defect=float(max(d1, d2, d3)))
 
 
-def _unit_columns(alg: AlgebraSpec):
-    """(y, j, units) per column j of block y, in the order of alg.matrix_units(),
-    one at a time; units[b] stacks block b of E_0j, ..., E_{n_y - 1, j}."""
-    dims = alg.block_dims
-    for y, n in enumerate(dims):
-        for j in range(n):
-            units = [np.zeros((n, d, d), dtype=np.complex128) for d in dims]
-            units[y][np.arange(n), np.arange(n), j] = 1.0  # units[y][i] = E_ij
-            yield y, j, units
-
-
-def _images(f, stacks: list[np.ndarray]) -> list[np.ndarray]:
-    """Per target block, the (k, m_x, m_x) images under f of k stacked elements."""
-    images = []
-    for segs, u, m in zip(f.segments, f.conjugators, f.target.block_dims):
-        b = np.zeros((len(stacks[0]), m, m), dtype=np.complex128)
-        for st, seg, n in zip(stacks, segs, f.source.block_dims):
-            for lo in range(seg.start, seg.stop, n):  # seg holds the copies of st
-                b[:, lo : lo + n, lo : lo + n] = st
-        images.append(u @ b @ u.conj().T)
-    return images
-
-
 def _distance(a: list[np.ndarray], b: list[np.ndarray]) -> float:
     """Max over i of sqrt(sum over blocks x of ||a[x][i] - b[x][i]||^2)."""
     sq = sum((np.abs(p - q) ** 2).sum(axis=(1, 2)) for p, q in zip(a, b))
@@ -288,8 +266,8 @@ def _law_hom_raw_roundtrip(rng, cfg) -> TrialOutcome:
     if back.mult != f.mult:
         return TrialOutcome(defect=1.0)
     worst = 0.0
-    for _, _, units in _unit_columns(alg):
-        worst = max(worst, _distance(_images(back, units), _images(f, units)))
+    for _, _, units in alg._unit_columns():
+        worst = max(worst, _distance(_hom_image(back, units), _hom_image(f, units)))
     return TrialOutcome(defect=worst)
 
 
@@ -302,8 +280,8 @@ def _law_hom_composition(rng, cfg) -> TrialOutcome:
     if not np.array_equal(np.array(h.mult, dtype=int), expected_mult):
         return TrialOutcome(defect=1.0)
     worst = 0.0
-    for _, _, units in _unit_columns(bottom):
-        worst = max(worst, _distance(_images(h, units), _images(f, _images(g, units))))
+    for _, _, units in bottom._unit_columns():
+        worst = max(worst, _distance(_hom_image(h, units), _hom_image(f, _hom_image(g, units))))
     left = compose_homs(identity_hom(f.target), f)
     right = compose_homs(f, identity_hom(f.source))
     a = gen_element(rng, f.source)
@@ -318,8 +296,8 @@ def _law_pushforward_definitional(rng, cfg) -> TrialOutcome:
     omega = gen_state(f.target, cfg, rng)
     xi = pushforward_state(omega, f)
     direct = [np.zeros((n, n), dtype=np.complex128) for n in alg.block_dims]
-    for y, j, units in _unit_columns(alg):  # direct[y][j, i] = omega(F(E_ij))
-        images = zip(omega.densities, _images(f, units))
+    for y, j, units in alg._unit_columns():  # direct[y][j, i] = omega(F(E_ij))
+        images = zip(omega.densities, _hom_image(f, units))
         direct[y][j] = sum(np.einsum("ab,iba->i", d, image) for d, image in images)
     worst = max(float(np.linalg.norm(d - x)) for d, x in zip(direct, xi.densities))
     return TrialOutcome(defect=worst)

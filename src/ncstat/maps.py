@@ -138,24 +138,30 @@ def _segments(mult, source: AlgebraSpec, target: AlgebraSpec) -> tuple:
 def _standard_block(
     blocks: Sequence[np.ndarray], segments: Sequence[slice]
 ) -> np.ndarray:
-    """blockdiag_y(kron(eye(c_y), blocks[y])), the copies of y filling segments[y]."""
+    """blockdiag_y(kron(eye(c_y), blocks[y])), the copies of y filling segments[y],
+    on the last two axes; a leading stack axis of the blocks is kept."""
     m = segments[-1].stop
-    out = np.zeros((m, m), dtype=np.complex128)
+    out = np.zeros(blocks[0].shape[:-2] + (m, m), dtype=np.complex128)
     for b, seg in zip(blocks, segments):
-        n = b.shape[0]
+        n = b.shape[-1]
         for lo in range(seg.start, seg.stop, n):
-            out[lo : lo + n, lo : lo + n] = b
+            out[..., lo : lo + n, lo : lo + n] = b
     return out
+
+
+def _hom_image(f: StarHom, blocks: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """U_x @ standard block @ U_x^H per target block x, of single or stacked blocks."""
+    return [
+        u @ _standard_block(blocks, segs) @ u.conj().T
+        for segs, u in zip(f.segments, f.conjugators)
+    ]
 
 
 def apply_hom(f: StarHom, a: AlgebraElement) -> AlgebraElement:
     """Image of a source element under the homomorphism."""
     if a.algebra != f.source:
         raise AlgebraMismatchError("element does not live on the source algebra")
-    out = []
-    for segs, u in zip(f.segments, f.conjugators):
-        out.append(u @ _standard_block(a.blocks, segs) @ u.conj().T)
-    return AlgebraElement(f.target, tuple(out))
+    return AlgebraElement(f.target, tuple(_hom_image(f, a.blocks)))
 
 
 def _identities(algebra: AlgebraSpec) -> tuple[np.ndarray, ...]:

@@ -663,31 +663,95 @@ def test_unit_basis_laws_fail_a_mutant_where_the_reference_does(
     assert np.allclose(got, want, rtol=1e-12, atol=1e-14)  # the worst unit's distance
 
 
+def _hom_image_conjugated_the_wrong_way(f, blocks):
+    """U^H (standard block) U in place of U (standard block) U^H."""
+    return [
+        u.conj().T @ maps._standard_block(blocks, segs) @ u
+        for segs, u in zip(f.segments, f.conjugators)
+    ]
+
+
+def _hom_image_copy_index_inside(f, blocks):
+    """U (directsum_y kron(b_y, 1_c)) U^H: the copy index as the inner factor."""
+    images = []
+    for segs, u in zip(f.segments, f.conjugators):
+        m = segs[-1].stop
+        out = np.zeros(blocks[0].shape[:-2] + (m, m), dtype=np.complex128)
+        for b, seg in zip(blocks, segs):
+            c = (seg.stop - seg.start) // b.shape[-1]
+            for p in range(c):  # copy p takes every c-th row and column of seg
+                out[..., seg.start + p : seg.stop : c, seg.start + p : seg.stop : c] = b
+        images.append(u @ out @ u.conj().T)
+    return images
+
+
+@pytest.mark.parametrize(
+    "mutant, cfg",
+    [
+        (_hom_image_conjugated_the_wrong_way, GeneratorConfig(seed=42, trials=10)),
+        # survives 200 trials at the default bounds; trial 2 is the first
+        # that all three unit-basis laws fail at max_block_dim=6
+        (_hom_image_copy_index_inside, GeneratorConfig(seed=42, trials=3, max_block_dim=6)),
+    ],
+    ids=["conjugated-the-wrong-way", "copy-index-inside"],
+)
+def test_unit_basis_laws_fail_a_mutant_of_the_shared_hom_evaluator(monkeypatch, mutant, cfg):
+    # apply_hom and the unit-basis laws both evaluate through maps._hom_image
+    monkeypatch.setattr(maps, "_hom_image", mutant)
+    monkeypatch.setattr(laws, "_hom_image", mutant)
+    report = run_laws(cfg)
+    assert {r.name for r in report.results if not r.passed} == set(UNIT_BASIS_REFERENCES)
+
+
+def _reference_matrix_units(alg):
+    """(y, i, j, blocks) per matrix unit, one np.zeros set per unit, in the
+    order of matrix_units(); the blocks complex as an AlgebraElement holds them."""
+    for y, n in enumerate(alg.block_dims):
+        for j in range(n):
+            for i in range(n):
+                blocks = [np.zeros((k, k)) for k in alg.block_dims]
+                blocks[y][i, j] = 1.0
+                yield y, i, j, [b.astype(np.complex128) for b in blocks]
+
+
+def _same_arrays(a, b) -> bool:
+    return len(a) == len(b) and all(
+        np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b)
+    )
+
+
 def test_unit_columns_match_the_matrix_unit_stacks(monkeypatch):
     # every algebra the unit-basis laws list over 40 trials at seed 42
-    algebras, unit_columns = [], laws._unit_columns
+    algebras, unit_columns = [], AlgebraSpec._unit_columns
 
     def recording(alg):
         algebras.append(alg)
         return unit_columns(alg)
 
-    monkeypatch.setattr(laws, "_unit_columns", recording)
+    monkeypatch.setattr(AlgebraSpec, "_unit_columns", recording)
     cfg = GeneratorConfig(seed=42, trials=40)
     for name, fn in ((n, fn) for n, _, fn in LAWS if n in UNIT_BASIS_REFERENCES):
         for t in range(cfg.trials):
             fn(rng_for(cfg, t), cfg)
-    assert len(algebras) == 3 * cfg.trials
-    for alg in algebras:
+    # hom_from_raw lists the units of an algebra the law listed already
+    listed = list({id(alg): alg for alg in algebras}.values())
+    assert len(listed) == 3 * cfg.trials
+    for alg in listed:
         got = list(unit_columns(alg))
-        units = itertools.groupby(alg.matrix_units(), key=lambda u: (u[0], u[2]))
+        units = itertools.groupby(_reference_matrix_units(alg), key=lambda u: (u[0], u[2]))
         want = [
-            (y, j, list(map(np.array, zip(*(e.blocks for *_, e in col)))))
+            (y, j, list(map(np.array, zip(*(blocks for *_, blocks in col)))))
             for (y, j), col in units
         ]
         assert [(y, j) for y, j, _ in got] == [(y, j) for y, j, _ in want]
         for (_, _, a), (_, _, b) in zip(got, want):
-            assert all(np.array_equal(p, q) and p.dtype == q.dtype for p, q in zip(a, b))
-            assert len(a) == len(b) == alg.num_blocks
+            assert len(a) == alg.num_blocks and _same_arrays(a, b)
+        # matrix_units() reads the same stacks: same order, values and dtype
+        elements = list(alg.matrix_units())
+        reference = list(_reference_matrix_units(alg))
+        assert [u[:3] for u in elements] == [u[:3] for u in reference]
+        for (*_, e), (*_, blocks) in zip(elements, reference):
+            assert _same_arrays(e.blocks, blocks)
 
 
 def test_run_laws_evaluates_the_unit_basis_laws_a_column_per_call(monkeypatch):

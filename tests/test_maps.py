@@ -166,6 +166,24 @@ def test_apply_hom_matches_kron_reference():
         assert np.allclose(out.blocks[x], u @ std @ u.conj().T, atol=1e-13)
 
 
+def test_hom_image_of_a_stack_is_apply_hom_per_element_bit_for_bit():
+    rng = np.random.default_rng(13)
+    src = AlgebraSpec((2, 1, 3))
+    mult = ((2, 0, 1), (1, 3, 0), (0, 2, 2))
+    tgt = AlgebraSpec((5, 9, 8))
+    f = StarHom(src, tgt, mult, tuple(haar_unitary(rng, m) for m in tgt.block_dims))
+    k = 4
+    stacks = [
+        rng.standard_normal((k, n, n)) + 1j * rng.standard_normal((k, n, n))
+        for n in src.block_dims
+    ]
+    images = maps._hom_image(f, stacks)
+    assert [im.shape for im in images] == [(k, m, m) for m in tgt.block_dims]
+    for i in range(k):
+        out = apply_hom(f, AlgebraElement(src, tuple(st[i] for st in stacks)))
+        assert all(np.array_equal(im[i], b) for im, b in zip(images, out.blocks))
+
+
 def test_hom_is_multiplicative_and_unital():
     rng = np.random.default_rng(5)
     src = AlgebraSpec((2, 1))
